@@ -16,7 +16,6 @@ import argparse
 import math
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -320,7 +319,7 @@ def _random_piecewise_linear(rng, spec: GridSpec, lo=0.0, hi=2.0) -> GridFunctio
     return GridFunction.from_horizon_values(spec, np.interp(t, xs, ys))
 
 
-def _estimate_suite(cfg: RunConfig, seed: int, workers: int):
+def _estimate_suite(cfg: RunConfig, seed: int):
     """Seeded randomized runs of both norm checks; deterministic ordering."""
     cases = cfg.get_int("estimates.cases", 50)
     n_points = cfg.get_int("grid.n_points", 1024)
@@ -343,16 +342,18 @@ def _estimate_suite(cfg: RunConfig, seed: int, workers: int):
         delta = round(delta * n_points) / n_points
         return corollary_check(phi, 0.0, 1.0, max(delta, 1.0 / n_points), beta, r, p, q)
 
-    records = []
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        records.extend(pool.map(young_case, range(cases)))
-        records.extend(pool.map(corollary_case, range(cases)))
-    return records
+    return [young_case(i) for i in range(cases)] + [
+        corollary_case(i) for i in range(cases)
+    ]
 
 
 def run(cfg: RunConfig, out_dir: Path, seed: int, tol=None, workers: int = 1,
         grid_override=None) -> int:
-    """Execute one command; writes artifacts into out_dir and returns the exit code."""
+    """Execute one command; writes artifacts into out_dir and returns the exit code.
+
+    ``workers`` is accepted for compatibility and has no effect: the estimate
+    suites run serially.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     command = cfg.command
@@ -420,7 +421,7 @@ def run(cfg: RunConfig, out_dir: Path, seed: int, tol=None, workers: int = 1,
         return EXIT_OK
 
     if command == "estimates":
-        records = _estimate_suite(cfg, seed, workers)
+        records = _estimate_suite(cfg, seed)
         all_pass = all(r.passed for r in records)
         with open(out_dir / "estimates_report.txt", "w") as fh:
             for line in _header(cfg, seed, None):
@@ -443,7 +444,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--tol", type=float, default=None, help="certification tolerance")
     parser.add_argument("--seed", type=int, default=None, help="random seed")
-    parser.add_argument("--workers", type=int, default=1, help="suite worker pool size")
+    parser.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect")
     parser.add_argument("--grid", type=int, default=None, help="override grid.n_points")
     args = parser.parse_args(argv)
 

@@ -217,6 +217,7 @@ class GridFunction:
 
     @classmethod
     def read_csv(cls, path, spec: GridSpec) -> "GridFunction":
+        """Read a ``to_csv`` table; its t column must match ``spec.times``."""
         rows = []
         with open(path) as fh:
             for line in fh:
@@ -228,6 +229,11 @@ class GridFunction:
         if arr.shape[0] != spec.n_nodes:
             raise StructuralError(
                 f"CSV has {arr.shape[0]} rows, grid has {spec.n_nodes} nodes"
+            )
+        off = np.max(np.abs(arr[:, 0] - spec.times))
+        if off > _ALIGN_RTOL * max(1.0, spec.t_end, spec.h):
+            raise StructuralError(
+                f"CSV t column is off the grid nodes by up to {off:.3g}"
             )
         vals = arr[:, 1:]
         if vals.shape[1] == 1:

@@ -71,6 +71,9 @@ class GronwallProblem:
             raise StructuralError("problem delay differs from the grid delay")
         if self.spec.delay_steps < 1:
             raise HypothesisError("delay h must be positive and span >= 1 step")
+        for g, label in ((self.L, "L"), (self.theta, "theta")):
+            if not np.all(np.isfinite(g.values)):
+                raise ParameterError(f"{label} must be finite at every node")
         if np.any(self.L.values < 0.0) or np.any(self.theta.values < 0.0):
             raise ParameterError("L and theta must be node-wise nonnegative")
 
@@ -127,6 +130,13 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class CertificationResult:
+    """Verdict of ``certify``.
+
+    ``min_margin`` is the smallest bound-minus-oracle margin over t > 0; on
+    t <= 0 both curves equal theta, so the margin there is exactly zero and
+    says nothing.  ``passed`` is decided over every node.
+    """
+
     report: BoundReport
     passed: bool
     tol: float
@@ -405,7 +415,10 @@ def certify(problem: GronwallProblem, tol: float | None = None) -> Certification
     report = _build_report(problem, consts.K_recommended, consts)
     if tol is None:
         tol = 1e-8 * (1.0 + float(np.max(report.majorant.values)))
-    min_margin = float(np.min(report.margin.values))
+    margin = report.margin.values
     return CertificationResult(
-        report=report, passed=min_margin >= -tol, tol=tol, min_margin=min_margin
+        report=report,
+        passed=float(np.min(margin)) >= -tol,
+        tol=tol,
+        min_margin=float(np.min(margin[problem.spec.delay_steps + 1 :])),
     )

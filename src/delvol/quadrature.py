@@ -8,8 +8,9 @@ piecewise-linear integrands and no kernel value is ever taken at s = t.
 Weights on a uniform grid depend only on the node distance d = i - j, so the
 full lower-triangular array is represented by two stencil vectors:
 ``w_left[d]`` (left endpoint of the cell at distance d) and ``w_right[d]``
-(right endpoint).  Rows are materialized on demand; convolutions run through
-an FFT-based linear convolution plus a rank-one boundary correction.
+(right endpoint).  ``SingularWeights.row`` is the one place that lays a row
+out from the stencils; convolutions run through an FFT-based linear
+convolution plus a rank-one boundary correction.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ def _linear_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class SingularWeights:
     """Lower-triangular weights approximating int_0^{t_i} f(s) (t_i - s)^(nu-1) ds.
 
-    Stored as distance stencils; ``row(i)`` and ``matrix()`` materialize the
-    conventional array.  All weights are nonnegative, rows sum to t_i^nu / nu,
+    Stored as distance stencils; ``row(i, lo, hi)`` and ``matrix()`` materialize
+    the conventional array.  All weights are nonnegative, rows sum to t_i^nu / nu,
     and first moments match the exact Beta-function value.
     """
 
@@ -83,14 +84,20 @@ class SingularWeights:
         e.flags.writeable = False
         return e
 
-    def row(self, i: int) -> np.ndarray:
-        """Weights w[i][0..i] of the i-th horizon node (i = 0 row is empty)."""
-        if i == 0:
-            return np.zeros(1)
-        r = np.empty(i + 1)
+    def row(self, i: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Weights w[i][lo..hi] of the i-th horizon node; hi defaults to i.
+
+        The row is w_left[i] at j = 0, the reversed stencil ``_kernel[i - j]``
+        inside, and w_right[1] = ``_kernel[0]`` on the diagonal (the i = 0 row
+        is zero).  For lo > 0 the result is a read-only view of the stencil;
+        for lo = 0 it is a fresh copy.
+        """
+        hi = i if hi is None else hi
+        seg = self._kernel[i - hi : i - lo + 1][::-1]
+        if lo > 0:
+            return seg
+        r = seg.copy()
         r[0] = self.w_left[i]
-        r[1:i] = self._kernel[1:i][::-1]
-        r[i] = self.w_right[1]
         return r
 
     def matrix(self) -> np.ndarray:

@@ -5,9 +5,14 @@ Solves
     xi(t) = zeta(t) + int_0^t kappa(t, s, xi(s), xi(s-h), u(s)) (t-s)^(nu-1) ds,
     xi(t) = 0 on [-h, 0],
 
-by Picard iteration over contraction windows.  The generator kappa carries its
-growth and Lipschitz envelopes (L0, L, u0, omega) so the well-posedness
-estimates can be evaluated against the certified comparison machinery.
+by Picard iteration over contraction windows.  Every quadrature row sum (the
+frozen history and the in-window part of a Picard sweep, one application of
+the state operator, and the kappa-difference curve of the stability check)
+goes through ``_row_sum``, which takes the row weights from
+``SingularWeights.row`` and splits the delay jump cell at s = h.  The
+generator kappa carries its growth and Lipschitz envelopes (L0, L, u0, omega)
+so the well-posedness estimates can be evaluated against the certified
+comparison machinery.
 
 Kernel callables must be vectorizable over the s-arguments:
 ``kappa(t, s, xi, xi_h, u)`` receives a scalar t and same-length arrays for
@@ -71,6 +76,9 @@ class GeneratorKernel:
 
     def __post_init__(self):
         object.__setattr__(self, "u0", np.atleast_1d(np.asarray(self.u0, dtype=float)))
+        for g, label in ((self.L0, "L0"), (self.L, "L")):
+            if not np.all(np.isfinite(g.values)):
+                raise ParameterError(f"{label} must be finite at every node")
         if np.any(self.L0.values < 0.0) or np.any(self.L.values < 0.0):
             raise ParameterError("L0 and L must be node-wise nonnegative")
 
@@ -102,6 +110,8 @@ class VolterraProblem:
                 raise StructuralError(f"{label} does not live on the problem grid")
         if abs(self.h - self.spec.h) > 1e-12 * max(1.0, self.h):
             raise StructuralError("problem delay differs from the grid delay")
+        if not np.all(np.isfinite(self.zeta.values)):
+            raise ParameterError("zeta must be finite at every node")
         if not np.all(np.isfinite(self.control_distance().values)):
             raise ParameterError("control must be finite-distance from u0")
 
@@ -132,7 +142,6 @@ class SolverConfig:
     """
 
     epsilon: float = 0.0
-    q_aux: float | None = None
     delta: float | None = None
     picard_tol: float = 1e-10
     max_iter: int = 500
@@ -149,13 +158,11 @@ class SolverConfig:
 
     @classmethod
     def auto(cls, prob: VolterraProblem, **overrides) -> "SolverConfig":
-        eps, q_aux, _ = choose_epsilon(
-            prob.p, prob.nu, prob.kernel.L, prob.spec
-        )
+        eps, _, _ = choose_epsilon(prob.p, prob.nu, prob.kernel.L, prob.spec)
         delta = contraction_window(
             prob.kernel.L, prob.nu, prob.p, eps, prob.spec.t_end
         )
-        base = dict(epsilon=eps, q_aux=q_aux, delta=delta)
+        base = dict(epsilon=eps, delta=delta)
         base.update(overrides)
         return cls(**base)
 
@@ -249,100 +256,76 @@ def choose_epsilon(
 
 
 class _RowEngine:
-    """Corrected quadrature rows for kappa(t_i, ., z, z(.-h), u).
+    """Integrand kappa(t_i, ., z, z(. - h), u) of one problem at a loaded state.
 
-    The delayed trace z(. - h) jumps at s = h when z(0) != 0; the jump cell is
-    split so the piecewise-linear moment integrals see one-sided limits.  The
-    corrected row equals the shifted-horizon discretization of the delayed
-    term, which the comparison operators use.
+    ``_row_sum`` turns an integrand into quadrature row sums; the row layout
+    (w_left at j = 0, the reversed stencil inside, w_right[1] on the diagonal)
+    lives in ``SingularWeights.row`` alone.  The delayed trace z(. - h) jumps
+    at s = h when z(0) != 0, so ``values`` can also sample under its left
+    limit, the zero prehistory.
     """
 
     def __init__(self, prob: VolterraProblem, weights: SingularWeights):
-        self.prob = prob
-        self.spec = prob.spec
-        self.m = self.spec.delay_steps
-        self.n = self.spec.n_points
-        self.t = self.spec.times[self.m :]
+        self.weights = weights
+        self.m = prob.spec.delay_steps
+        self.n = prob.spec.n_points
+        self.t = prob.spec.times[self.m :]
         self.kappa = prob.kernel.kappa
         self.u = prob.control.horizon_values
-        wl, wr = weights.w_left, weights.w_right
-        self.wl, self.wr = wl, wr
-        kc = np.empty(self.n + 1)
-        kc[0] = wr[1]
-        kc[1:] = wl[1 : self.n + 1] + wr[2 : self.n + 2]
-        self.kc = kc
 
-    def lagged(self, z: np.ndarray) -> np.ndarray:
-        """z(. - h) on the horizon nodes (zero where the shift leaves [0, T])."""
+    def load(self, z: np.ndarray) -> "_RowEngine":
+        """Sample at state z (horizon values) and its lag z(. - h), zero off [0, T]."""
         zh = np.zeros_like(z)
-        if self.m == 0:
-            return z.copy()
         if self.m <= self.n:
             zh[self.m :] = z[: self.n + 1 - self.m]
-        return zh
+        self.z, self.zh = z, zh
+        self.jumps = self.m > 0 and bool(np.any(z[0] != 0.0))
+        return self
 
-    def _eval(self, i: int, js: slice, z, zh):
-        t_i = self.t[i]
-        vals = self.kappa(t_i, self.t[js], z[js], zh[js], self.u[js])
+    def values(self, i: int, js: slice, left_limit: bool = False) -> np.ndarray:
+        zh = self.zh[js] * 0.0 if left_limit else self.zh[js]
+        vals = self.kappa(self.t[i], self.t[js], self.z[js], zh, self.u[js])
         return np.asarray(vals, dtype=float)
 
-    def _weights_segment(self, i: int, lo: int) -> np.ndarray:
-        """Row weights w[i][lo+1 .. i] (lo >= 0, so index 0 never appears)."""
-        return self.kc[: i - lo][::-1]
-
-    def jump_correction(self, i: int, z: np.ndarray):
-        """Replace the naive node-m term by its split-cell value."""
-        m = self.m
-        if m == 0 or m > min(i, self.n):
-            return 0.0
-        if not np.any(np.atleast_1d(z[0]) != 0.0):
-            return 0.0
-        t_i = self.t[i]
-        s = self.t[m : m + 1]
-        zm = z[m : m + 1]
-        um = self.u[m : m + 1]
-        left = np.asarray(self.kappa(t_i, s, zm, zm * 0.0, um), dtype=float)
-        right = np.asarray(self.kappa(t_i, s, zm, z[0:1], um), dtype=float)
-        return self.wr[i - m + 1] * (left[0] - right[0])
-
-    def frozen_part(self, rows: range, hi: int, z, zh) -> np.ndarray:
-        """Contributions of nodes j in [0, hi] to each row in ``rows``."""
-        shape = (len(rows),) if z.ndim == 1 else (len(rows), z.shape[1])
-        out = np.zeros(shape)
-        for k, i in enumerate(rows):
-            if hi < 0 or i == 0:
-                continue
-            stop = min(hi, i)
-            vals = self._eval(i, slice(0, stop + 1), z, zh)
-            w = np.empty(stop + 1)
-            w[0] = self.wl[i]
-            if stop >= 1:
-                seg = self.kc[i - stop : i][::-1]
-                w[1 : stop + 1] = seg
-            if stop == i:
-                w[i] = self.wr[1]
-            out[k] = w @ vals if vals.ndim == 2 else np.dot(w, vals)
-            if 0 < self.m <= stop:
-                out[k] += self.jump_correction(i, z)
-        return out
-
-    def window_part(self, i: int, lo: int, z, zh):
-        """Contributions of nodes j in (lo, i] plus in-window jump correction."""
-        if i <= lo:
-            return 0.0
-        vals = self._eval(i, slice(lo + 1, i + 1), z, zh)
-        w = self._weights_segment(i, lo)
-        acc = w @ vals if vals.ndim == 2 else np.dot(w, vals)
-        if lo < self.m <= i:
-            acc = acc + self.jump_correction(i, z)
-        return acc
-
-    def locate_bad_eval(self, i: int, z, zh):
+    def locate_bad_eval(self, i: int):
         """Time s of the first non-finite kernel value in row i, if any."""
-        vals = np.atleast_1d(self._eval(i, slice(0, i + 1), z, zh))
+        vals = np.atleast_1d(self.values(i, slice(0, i + 1)))
         flat = vals if vals.ndim == 1 else vals.sum(axis=tuple(range(1, vals.ndim)))
         bad = np.argwhere(~np.isfinite(flat))
         return float(self.t[int(bad[0][0])]) if bad.size else None
+
+
+class _KappaDifference:
+    """Integrand |kappa(t, s, xi1, ...) - kappa(t, s, xi2, ...)| of two loaded engines."""
+
+    def __init__(self, eng1: _RowEngine, eng2: _RowEngine):
+        self.eng1, self.eng2 = eng1, eng2
+        self.weights, self.m = eng1.weights, eng1.m
+        self.jumps = eng1.jumps or eng2.jumps
+
+    def values(self, i: int, js: slice, left_limit: bool = False) -> np.ndarray:
+        d = self.eng1.values(i, js, left_limit) - self.eng2.values(i, js, left_limit)
+        return np.abs(d) if d.ndim == 1 else np.linalg.norm(d, axis=1)
+
+
+def _row_sum(g, i: int, lo: int, hi: int):
+    """sum_{lo <= j <= hi} w[i][j] g(t_i, s_j) with the s = h cell split.
+
+    When the delayed trace jumps and node m (s_m = h) lies in [lo, hi], the
+    node-m term is replaced by its split-cell value, so that the
+    piecewise-linear moments see one-sided limits.  The corrected row equals
+    the shifted-horizon discretization of the delayed term, which the
+    comparison operators use.  This is the only place the split is made.
+    """
+    vals = g.values(i, slice(lo, hi + 1))
+    w = g.weights.row(i, lo, hi)
+    acc = w @ vals if vals.ndim == 2 else np.dot(w, vals)
+    m = g.m
+    if g.jumps and lo <= m <= hi:
+        node = slice(m, m + 1)
+        left, right = g.values(i, node, left_limit=True), g.values(i, node)
+        acc = acc + g.weights.w_right[i - m + 1] * (left[0] - right[0])
+    return acc
 
 
 def _window_blocks(n: int, step: int):
@@ -383,31 +366,26 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
         raise ParameterError(f"window length delta must be positive, got {delta}")
     step = max(1, min(int(delta / spec.dt), cfg.chunk_nodes))
 
-    weights = build_singular_weights(spec, prob.nu)
-    engine = _RowEngine(prob, weights)
     n = spec.n_points
     zeta = prob.zeta.horizon_values
     z = zeta.copy()
+    engine = _RowEngine(prob, build_singular_weights(spec, prob.nu)).load(z)
 
     for w_idx, (lo, hi) in enumerate(_window_blocks(n, step)):
         rows = range(lo + 1, hi + 1)
-        zh = engine.lagged(z)
-        frozen = engine.frozen_part(rows, lo, z, zh)
+        frozen = [_row_sum(engine, i, 0, lo) for i in rows]
         increments = []
         for _ in range(cfg.max_iter):
-            zh = engine.lagged(z)
-            new_vals = []
-            for k, i in enumerate(rows):
-                val = zeta[i] + frozen[k] + engine.window_part(i, lo, z, zh)
-                new_vals.append(val)
-            new_seg = np.asarray(new_vals)
+            new_seg = np.asarray(
+                [zeta[i] + frozen[k] + _row_sum(engine, i, lo + 1, i) for k, i in enumerate(rows)]
+            )
             if not np.all(np.isfinite(new_seg)):
                 per_row = (
                     new_seg if new_seg.ndim == 1 else new_seg.sum(axis=tuple(range(1, new_seg.ndim)))
                 )
                 bad = int(np.argmax(~np.isfinite(per_row)))
                 t_bad = float(engine.t[lo + 1 + bad])
-                s_bad = engine.locate_bad_eval(lo + 1 + bad, z, zh)
+                s_bad = engine.locate_bad_eval(lo + 1 + bad)
                 raise EvaluationError(
                     f"kernel produced a non-finite value at (t, s) = ({t_bad}, {s_bad})",
                     t=t_bad,
@@ -415,6 +393,7 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
                 )
             inc = float(np.max(np.abs(new_seg - z[lo + 1 : hi + 1])))
             z[lo + 1 : hi + 1] = new_seg
+            engine.load(z)
             increments.append(inc)
             scale = 1.0 + float(np.max(np.abs(new_seg)))
             if inc < cfg.picard_tol * scale:
@@ -432,14 +411,10 @@ def apply_state_operator(prob: VolterraProblem, z: GridFunction) -> GridFunction
     """One full application zeta + integral(kappa(., z, z(.-h), u))."""
     if z.spec != prob.spec:
         raise StructuralError("iterate does not live on the problem grid")
-    weights = build_singular_weights(prob.spec, prob.nu)
-    engine = _RowEngine(prob, weights)
-    vals = z.horizon_values
-    zh = engine.lagged(vals)
-    n = prob.spec.n_points
+    engine = _RowEngine(prob, build_singular_weights(prob.spec, prob.nu))
+    engine.load(z.horizon_values)
     out = prob.zeta.horizon_values.copy()
-    frozen = engine.frozen_part(range(1, n + 1), n, vals, zh)
-    out[1:] += frozen
+    out[1:] += np.asarray([_row_sum(engine, i, 0, i) for i in range(1, prob.spec.n_points + 1)])
     return GridFunction.from_horizon_values(prob.spec, out)
 
 
@@ -506,34 +481,13 @@ def _kappa_difference_curve(
 ) -> GridFunction:
     """t -> int_0^t |kappa(t,s,xi1,...) - kappa(t,s,xi2,...)| (t-s)^(nu-1) ds."""
     weights = build_singular_weights(prob1.spec, prob1.nu)
-    eng1 = _RowEngine(prob1, weights)
-    eng2 = _RowEngine(prob2, weights)
-    z1, z2 = xi1.horizon_values, xi2.horizon_values
-    zh1, zh2 = eng1.lagged(z1), eng2.lagged(z2)
-    n = prob1.spec.n_points
-    m = prob1.spec.delay_steps
-    out = np.zeros(n + 1)
-    for i in range(1, n + 1):
-        v1 = eng1._eval(i, slice(0, i + 1), z1, zh1)
-        v2 = eng2._eval(i, slice(0, i + 1), z2, zh2)
-        diff = np.abs(v1 - v2) if v1.ndim == 1 else np.linalg.norm(v1 - v2, axis=1)
-        w = np.empty(i + 1)
-        w[0] = eng1.wl[i]
-        w[1:i] = eng1.kc[1:i][::-1]
-        w[i] = eng1.wr[1]
-        acc = float(np.dot(w, diff))
-        if 0 < m <= i:
-            # split the jump cell of both delayed traces at s = h
-            t_i = eng1.t[i]
-            s = eng1.t[m : m + 1]
-            a_l = np.asarray(eng1.kappa(t_i, s, z1[m : m + 1], z1[0:1] * 0.0, eng1.u[m : m + 1]))
-            a_r = np.asarray(eng1.kappa(t_i, s, z1[m : m + 1], z1[0:1], eng1.u[m : m + 1]))
-            b_l = np.asarray(eng2.kappa(t_i, s, z2[m : m + 1], z2[0:1] * 0.0, eng2.u[m : m + 1]))
-            b_r = np.asarray(eng2.kappa(t_i, s, z2[m : m + 1], z2[0:1], eng2.u[m : m + 1]))
-            d_l = np.linalg.norm(np.atleast_1d(a_l - b_l))
-            d_r = np.linalg.norm(np.atleast_1d(a_r - b_r))
-            acc += eng1.wr[i - m + 1] * (d_l - d_r)
-        out[i] = acc
+    g = _KappaDifference(
+        _RowEngine(prob1, weights).load(xi1.horizon_values),
+        _RowEngine(prob2, weights).load(xi2.horizon_values),
+    )
+    out = np.zeros(prob1.spec.n_points + 1)
+    for i in range(1, len(out)):
+        out[i] = _row_sum(g, i, 0, i)
     return GridFunction.from_horizon_values(prob1.spec, out)
 
 

@@ -92,6 +92,16 @@ def test_config_error_exit_code(tmp_path):
     assert proc.stderr.startswith("error: 1:")
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_theta_is_config_error(tmp_path, bad):
+    text = VERIFY_ACTIVE.replace("constant(1)\ngrid", f"constant({bad})\ngrid")
+    assert f"problem.theta = constant({bad})" in text
+    cfg = write(tmp_path, "nf.cfg", text)
+    proc = cli(["--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: 1:")
+
+
 def test_missing_config_exit_code(tmp_path):
     proc = cli(["--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
     assert proc.returncode == 1

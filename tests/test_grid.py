@@ -162,6 +162,15 @@ def test_csv_vector_header(tmp_path):
     assert np.array_equal(f.values, g.values)
 
 
+def test_csv_from_another_horizon_rejected(tmp_path):
+    # same node count, different t column: T = 1 table onto a T = 2 grid
+    f = GridFunction.from_callable(GridSpec(t_end=1.0, n_points=32), lambda t: t)
+    path = tmp_path / "f.csv"
+    f.to_csv(path)
+    with pytest.raises(StructuralError):
+        GridFunction.read_csv(path, GridSpec(t_end=2.0, n_points=32))
+
+
 def test_values_immutable():
     spec = GridSpec(t_end=1.0, n_points=8)
     f = GridFunction.constant(spec, 1.0)

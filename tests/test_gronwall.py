@@ -9,6 +9,7 @@ from delvol import (
     GridSpec,
     GronwallProblem,
     HypothesisError,
+    ParameterError,
     build_singular_weights,
     certify,
     comparison_constant,
@@ -53,6 +54,12 @@ def test_problem_validation():
             0.5,
             4.0,
         )
+    for bad in (math.nan, math.inf):  # non-finite L or theta
+        nonfinite = GridFunction.constant(spec, bad)
+        with pytest.raises(ParameterError):
+            make_problem(L, nonfinite, nu=0.5, q=4.0)
+        with pytest.raises(ParameterError):
+            make_problem(nonfinite, th, nu=0.5, q=4.0)
 
 
 def test_step_constant_k1_closed_form():
@@ -256,6 +263,17 @@ def test_certify_zero_L_passes_with_zero_margin():
     res = certify(unit_problem(L_val=0.0))
     assert res.passed
     assert np.all(res.report.margin.values == 0.0)
+
+
+def test_certify_min_margin_is_over_positive_t():
+    # on t <= 0 bound and oracle both equal theta, so the margin there is 0
+    prob = unit_problem(n_points=128, h=0.25, nu=0.6, q=2.0 / 0.6)
+    res = certify(prob)
+    m = prob.spec.delay_steps
+    assert res.passed
+    assert np.all(res.report.margin.values[: m + 1] == 0.0)
+    assert res.min_margin > 0.0
+    assert res.min_margin == float(np.min(res.report.margin.values[m + 1 :]))
 
 
 @pytest.mark.parametrize("case", range(6))

@@ -36,6 +36,12 @@ def test_row_identities(nu):
         assert moment == pytest.approx(
             t[i] ** (nu + 1.0) * beta(2.0, nu), rel=1e-10
         )
+    # every partial row is the matching slice of the dense array
+    dense = W.matrix()
+    for i in (0, 1, 2, 17, 64, 128):
+        for lo in range(0, i + 1, max(1, i // 7)):
+            for hi in sorted({lo, (lo + i) // 2, i}):
+                assert np.array_equal(W.row(i, lo, hi), dense[i, lo : hi + 1])
 
 
 def test_single_cell_row_sum():

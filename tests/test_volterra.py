@@ -16,15 +16,19 @@ from delvol import (
     VolterraProblem,
     apply_state_operator,
     apriori_check,
+    build_singular_weights,
     certify,
     check_generator_hypotheses,
     choose_epsilon,
     contraction_window,
+    delayed_singular_convolution,
+    difference_forcing,
     difference_problem,
     fixed_point_residual,
     lp_norm,
     mittag_leffler_half,
     picard_solve,
+    singular_convolution,
     stability_check,
 )
 
@@ -141,6 +145,17 @@ def test_delayed_closed_form():
     assert np.max(np.abs(seg - 1.0)) == 0.0
 
 
+def test_abel_convergence_order():
+    # error at T = 1 against E_{1/2}(sqrt(pi)) falls like n^-1.4 on this scheme
+    exact = mittag_leffler_half(math.sqrt(math.pi))
+    errors = [
+        abs(picard_solve(abel_problem(n_points=n)).at_time(1.0) - exact)
+        for n in (500, 1000, 2000, 4000)
+    ]
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert min(orders) >= 1.3, orders
+
+
 def test_zero_delay_doubles_linear_gain():
     # h = 0 makes xi_h == xi, so kappa = xi + xi_h solves the 2x Abel equation
     spec = GridSpec(t_end=1.0, n_points=1000, h=0.0)
@@ -148,6 +163,60 @@ def test_zero_delay_doubles_linear_gain():
     xi = picard_solve(prob)
     exact = mittag_leffler_half(2.0 * math.sqrt(math.pi * 0.5))
     assert xi.at_time(0.5) == pytest.approx(exact, rel=1e-3)
+
+
+def _wavy(spec, offset):
+    """Positive state with z(0) = offset + 1 != 0, so the delayed trace jumps."""
+    return GridFunction.from_callable(
+        spec, lambda t: offset + np.cos(3.0 * t) + 0.5 * t**2
+    )
+
+
+def test_state_operator_matches_fft_convolutions():
+    # n = 384 sends the convolutions down the FFT path, which splits the s = h
+    # cell by shifting the horizon rather than by a row correction
+    a, b = 0.7, 1.3
+    spec = GridSpec(t_end=1.0, n_points=384, h=0.25)
+    zeta = GridFunction.from_callable(spec, lambda t: 1.0 + t)
+    prob = make_problem(spec, linear_kernel(spec, c1=a, c2=b), zeta=zeta)
+    z = _wavy(spec, 1.0)
+    W = build_singular_weights(spec, prob.nu)
+    expect = (
+        zeta
+        + a * singular_convolution(z, W)
+        + b * delayed_singular_convolution(z, W)
+    )
+    got = apply_state_operator(prob, z)
+    np.testing.assert_allclose(got.values, expect.values, rtol=1e-12, atol=0.0)
+
+
+def test_difference_forcing_matches_fft_convolution():
+    c = 0.8
+    spec = GridSpec(t_end=1.0, n_points=384, h=0.25)
+    kernel = linear_kernel(spec, c2=c)
+    p1 = make_problem(spec, kernel, zeta=_wavy(spec, 1.0))
+    p2 = make_problem(spec, kernel, zeta=_wavy(spec, 0.5))
+    x1 = _wavy(spec, 2.0)
+    x2 = GridFunction.from_callable(spec, lambda t: np.sin(5.0 * t))
+    W = build_singular_weights(spec, p1.nu)
+    expect = (p1.zeta - p2.zeta).magnitude() + c * delayed_singular_convolution(
+        (x1 - x2).magnitude(), W
+    )
+    got = difference_forcing(p1, p2, x1, x2)
+    np.testing.assert_allclose(got.values, expect.values, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_problem_rejects_non_finite(bad):
+    spec = GridSpec(t_end=1.0, n_points=16, h=0.25)
+    kernel = linear_kernel(spec, c1=1.0)
+    with pytest.raises(ParameterError):
+        make_problem(spec, kernel, zeta_val=bad)
+    for field in ("L0", "L"):
+        envelopes = {"L0": kernel.L0, "L": kernel.L}
+        envelopes[field] = GridFunction.constant(spec, bad)
+        with pytest.raises(ParameterError):
+            GeneratorKernel(kappa=kernel.kappa, u0=np.zeros(1), **envelopes)
 
 
 def test_fixed_point_residual_small():
