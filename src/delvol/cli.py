@@ -347,13 +347,8 @@ def _estimate_suite(cfg: RunConfig, seed: int):
     ]
 
 
-def run(cfg: RunConfig, out_dir: Path, seed: int, tol=None, workers: int = 1,
-        grid_override=None) -> int:
-    """Execute one command; writes artifacts into out_dir and returns the exit code.
-
-    ``workers`` is accepted for compatibility and has no effect: the estimate
-    suites run serially.
-    """
+def run(cfg: RunConfig, out_dir: Path, seed: int, tol=None, grid_override=None) -> int:
+    """Execute one command; writes artifacts into out_dir and returns the exit code."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     command = cfg.command
@@ -463,7 +458,6 @@ def main(argv=None) -> int:
             Path(args.out),
             seed=seed,
             tol=args.tol,
-            workers=args.workers,
             grid_override=args.grid,
         )
     except (ConfigError, ValueError) as exc:

@@ -274,13 +274,19 @@ class _RowEngine:
         self.u = prob.control.horizon_values
 
     def load(self, z: np.ndarray) -> "_RowEngine":
-        """Sample at state z (horizon values) and its lag z(. - h), zero off [0, T]."""
-        zh = np.zeros_like(z)
-        if self.m <= self.n:
-            zh[self.m :] = z[: self.n + 1 - self.m]
-        self.z, self.zh = z, zh
-        self.jumps = self.m > 0 and bool(np.any(z[0] != 0.0))
+        """Sample at a copy of state z (horizon values) and its lag z(. - h)."""
+        self.z = np.zeros_like(z, dtype=float)
+        self.store(0, z)
         return self
+
+    def store(self, start: int, seg: np.ndarray) -> None:
+        """Write seg into the state from node start on; the lag follows it."""
+        self.z[start : start + len(seg)] = seg
+        # z(. - h) is zero off [0, T]; it jumps at s = h when z(0) != 0
+        self.zh = np.zeros_like(self.z)
+        if self.m <= self.n:
+            self.zh[self.m :] = self.z[: self.n + 1 - self.m]
+        self.jumps = self.m > 0 and bool(np.any(self.z[0] != 0.0))
 
     def values(self, i: int, js: slice, left_limit: bool = False) -> np.ndarray:
         zh = self.zh[js] * 0.0 if left_limit else self.zh[js]
@@ -328,16 +334,6 @@ def _row_sum(g, i: int, lo: int, hi: int):
     return acc
 
 
-def _window_blocks(n: int, step: int):
-    blocks = []
-    lo = 0
-    while lo < n:
-        hi = min(lo + step, n)
-        blocks.append((lo, hi))
-        lo = hi
-    return blocks
-
-
 def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> GridFunction:
     """Solve the state equation window by window; returns xi on [-h, T].
 
@@ -368,10 +364,10 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
 
     n = spec.n_points
     zeta = prob.zeta.horizon_values
-    z = zeta.copy()
-    engine = _RowEngine(prob, build_singular_weights(spec, prob.nu)).load(z)
+    engine = _RowEngine(prob, build_singular_weights(spec, prob.nu)).load(zeta)
 
-    for w_idx, (lo, hi) in enumerate(_window_blocks(n, step)):
+    for w_idx, lo in enumerate(range(0, n, step)):
+        hi = min(lo + step, n)
         rows = range(lo + 1, hi + 1)
         frozen = [_row_sum(engine, i, 0, lo) for i in rows]
         increments = []
@@ -391,9 +387,8 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
                     t=t_bad,
                     s=s_bad,
                 )
-            inc = float(np.max(np.abs(new_seg - z[lo + 1 : hi + 1])))
-            z[lo + 1 : hi + 1] = new_seg
-            engine.load(z)
+            inc = float(np.max(np.abs(new_seg - engine.z[lo + 1 : hi + 1])))
+            engine.store(lo + 1, new_seg)
             increments.append(inc)
             scale = 1.0 + float(np.max(np.abs(new_seg)))
             if inc < cfg.picard_tol * scale:
@@ -404,15 +399,14 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
                 history=increments,
                 window=w_idx,
             )
-    return GridFunction.from_horizon_values(spec, z)
+    return GridFunction.from_horizon_values(spec, engine.z)
 
 
 def apply_state_operator(prob: VolterraProblem, z: GridFunction) -> GridFunction:
     """One full application zeta + integral(kappa(., z, z(.-h), u))."""
     if z.spec != prob.spec:
         raise StructuralError("iterate does not live on the problem grid")
-    engine = _RowEngine(prob, build_singular_weights(prob.spec, prob.nu))
-    engine.load(z.horizon_values)
+    engine = _RowEngine(prob, build_singular_weights(prob.spec, prob.nu)).load(z.horizon_values)
     out = prob.zeta.horizon_values.copy()
     out[1:] += np.asarray([_row_sum(engine, i, 0, i) for i in range(1, prob.spec.n_points + 1)])
     return GridFunction.from_horizon_values(prob.spec, out)
@@ -486,8 +480,7 @@ def _kappa_difference_curve(
         _RowEngine(prob2, weights).load(xi2.horizon_values),
     )
     out = np.zeros(prob1.spec.n_points + 1)
-    for i in range(1, len(out)):
-        out[i] = _row_sum(g, i, 0, i)
+    out[1:] = [_row_sum(g, i, 0, i) for i in range(1, len(out))]
     return GridFunction.from_horizon_values(prob1.spec, out)
 
 

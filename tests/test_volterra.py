@@ -228,6 +228,19 @@ def test_fixed_point_residual_small():
     assert res <= 10.0 * cfg.picard_tol * scale
 
 
+def test_delayed_fixed_point_residual_small():
+    # many windows and a jumping lag: every sweep must see the lag of the
+    # current iterate, which the residual recomputes from scratch
+    spec = GridSpec(t_end=1.0, n_points=256, h=0.25)
+    zeta = GridFunction.from_callable(spec, lambda t: 1.0 + np.sin(4.0 * t))
+    prob = make_problem(spec, linear_kernel(spec, c1=0.5, c2=1.0), zeta=zeta)
+    cfg = SolverConfig.auto(prob, chunk_nodes=16)
+    xi = picard_solve(prob, cfg)
+    res = fixed_point_residual(prob, xi)
+    scale = 1.0 + float(np.max(np.abs(xi.values)))
+    assert res <= 10.0 * cfg.picard_tol * scale
+
+
 def test_window_independence():
     prob = abel_problem(n_points=256)
     cfg = SolverConfig.auto(prob)
