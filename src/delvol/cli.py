@@ -84,6 +84,11 @@ _KNOWN_KEYS = frozenset(
 )
 
 
+# '#' opens a comment at the start of a line or after whitespace, so a value
+# such as table(th#1.csv) keeps its '#'
+_COMMENT_RE = re.compile(r"(?:^|\s)#")
+
+
 class RunConfig:
     """Parsed flat key-value configuration."""
 
@@ -104,7 +109,7 @@ class RunConfig:
         entries = {}
         source = []
         for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT_RE.split(raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

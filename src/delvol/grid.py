@@ -27,13 +27,12 @@ class GridSpec:
 
     The step is ``dt = t_end / n_points``.  A positive delay ``h`` must be an
     exact multiple of ``dt`` (within rounding) so that delayed arguments land
-    on grid nodes; ``t_start`` always equals ``-h``.
+    on grid nodes; the prehistory starts at ``t_start = -h``.
     """
 
     t_end: float
     n_points: int
     h: float = 0.0
-    t_start: float | None = None
 
     def __post_init__(self):
         if not self.t_end > 0.0:
@@ -42,14 +41,6 @@ class GridSpec:
             raise ParameterError(f"n_points must be >= 2, got {self.n_points}")
         if self.h < 0.0:
             raise ParameterError(f"delay h must be >= 0, got {self.h}")
-        if self.t_start is None:
-            object.__setattr__(self, "t_start", -self.h)
-        elif abs(self.t_start + self.h) > _ALIGN_RTOL * max(1.0, self.h):
-            raise ParameterError(
-                f"t_start must equal -h; got t_start={self.t_start}, h={self.h}"
-            )
-        else:
-            object.__setattr__(self, "t_start", -self.h)
         if self.h > 0.0:
             ratio = self.h / self.dt
             if abs(ratio - round(ratio)) > _ALIGN_RTOL * max(1.0, ratio):
@@ -58,6 +49,10 @@ class GridSpec:
                 )
             if round(ratio) < 1:
                 raise ParameterError("positive delay must span at least one step")
+
+    @property
+    def t_start(self) -> float:
+        return -self.h
 
     @property
     def dt(self) -> float:

@@ -7,7 +7,8 @@ Certifies, on the grid, that any nonnegative xi satisfying
 
 is dominated by the explicit curve theta_n(t) + K int_0^t L theta (t-s)^(nu-1) ds
 for a constructively chosen K.  The check compares that curve against the sharp
-oracle: the fixed point of the equality version, obtained by Picard iteration.
+oracle: the fixed point of the equality version, whose lower-triangular
+discrete system ``resolvent_majorant`` solves exactly by the method of steps.
 
 Constant constructions kept separate from the oracle:
   * ``lemma1_constant`` dominates the non-delayed resolvent by the first kernel,
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +82,11 @@ class GronwallProblem:
     @classmethod
     def build(cls, L: GridFunction, theta: GridFunction, nu: float, q: float):
         return cls(L=L, theta=theta, nu=nu, h=L.spec.h, q=q, spec=L.spec)
+
+    @cached_property
+    def weights(self) -> SingularWeights:
+        """Product-integration weights of the problem grid, built once."""
+        return build_singular_weights(self.spec, self.nu)
 
     @property
     def n_delay_intervals(self) -> int:
@@ -163,47 +170,44 @@ def comparison_constant(nu: float, nu1: float, T: float) -> float:
     return max(T ** (nu1 - nu), 1.0)
 
 
-def _majorant_sweep(problem: GronwallProblem, weights: SingularWeights, cur):
-    direct = singular_convolution(problem.L * cur, weights)
-    lagged = delayed_product_convolution(problem.L, cur, weights)
-    return problem.theta + direct + lagged
+def _checked_gain(gain: np.ndarray) -> np.ndarray:
+    """Diagonal gains w[i][i] L_i (i >= 1) of the first kernel, checked below 1.
 
-
-def resolvent_majorant(
-    problem: GronwallProblem,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
-    stall_patience: int = 50,
-) -> GridFunction:
-    """Fixed point of the equality version, by monotone Picard iteration.
-
-    Starts from theta (a sub-solution), so iterates increase node-wise and the
-    limit dominates every grid function satisfying the inequality.  Raises
-    ``ConvergenceError`` when the increments fail to decrease for
-    ``stall_patience`` consecutive iterations; iterations with a long
-    pre-asymptotic growth hump (large sup L * T^nu / nu) may need a larger
-    patience even though they eventually contract.
+    A gain >= 1 is exactly when the iterated-kernel series from theta diverges.
     """
-    weights = build_singular_weights(problem.spec, problem.nu)
-    cur = problem.theta
-    history = []
-    stalled = 0
-    for _ in range(max_iter):
-        new = _majorant_sweep(problem, weights, cur)
-        inc = float(np.max(np.abs(new.values - cur.values)))
-        if history and inc >= history[-1]:
-            stalled += 1
-            if stalled >= stall_patience:
-                raise ConvergenceError(
-                    "majorant iteration stopped contracting", history=history
-                )
-        else:
-            stalled = 0
-        history.append(inc)
-        cur = new
-        if inc < tol * (1.0 + float(np.max(cur.values))):
-            return cur
-    raise ConvergenceError("majorant iteration cap reached", history=history)
+    bad = gain[gain >= 1.0]
+    if bad.size:
+        raise ConvergenceError(
+            "iterated kernel series diverges: diagonal gain >= 1 "
+            "(grid too coarse for this L)",
+            history=list(bad[:5]),
+        )
+    return gain
+
+
+def resolvent_majorant(problem: GronwallProblem) -> GridFunction:
+    """Fixed point of the equality version, by an exact method of steps.
+
+    The discrete system M = theta + A1 M + A2 M is lower triangular with
+    diagonal w_right[1] L_i, and on a delay window (lo, hi] the delayed term
+    A2 M reads only nodes <= lo.  Each window therefore takes one delayed
+    convolution of the solved prefix and a forward substitution over its
+    nodes.  The fixed point is the limit of the monotone iteration from theta,
+    so it dominates every grid function satisfying the inequality.
+    """
+    spec, weights = problem.spec, problem.weights
+    L = problem.L.horizon_values
+    theta = problem.theta.horizon_values
+    pivot = 1.0 - _checked_gain(weights.w_right[1] * L[1:])
+    x = np.zeros(spec.n_points + 1)
+    x[0] = theta[0]
+    for lo, hi in _window_ends(spec, problem.n_delay_intervals):
+        prefix = GridFunction.from_horizon_values(spec, x)
+        lag = delayed_product_convolution(problem.L, prefix, weights).horizon_values
+        for i in range(lo + 1, hi + 1):
+            direct = weights.row(i, 0, i - 1) @ (L[:i] * x[:i])
+            x[i] = (theta[i] + lag[i] + direct) / pivot[i - 1]
+    return GridFunction.from_horizon_values(spec, x)
 
 
 def _first_kernel_matrix(
@@ -214,24 +218,15 @@ def _first_kernel_matrix(
 
 def _discrete_resolvent(A1: np.ndarray) -> np.ndarray:
     """Sum of iterated kernel matrices, (I - A1)^(-1) A1, with divergence check."""
-    diag = np.diagonal(A1)
-    if np.any(diag >= 1.0):
-        raise ConvergenceError(
-            "iterated kernel series diverges: diagonal gain >= 1 "
-            "(grid too coarse for this L)",
-            history=list(diag[diag >= 1.0][:5]),
-        )
+    _checked_gain(np.diagonal(A1)[1:])
     eye = np.eye(A1.shape[0])
     return np.linalg.solve(eye - A1, A1)
 
 
-def _ratio_max(R: np.ndarray, A1: np.ndarray, rows=None) -> float:
-    mask = A1 > 0.0
-    if rows is not None:
-        mask = mask & rows[:, None]
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(R[mask] / A1[mask]))
+def _ratio_row_max(R: np.ndarray, A1: np.ndarray) -> np.ndarray:
+    """Running max over rows 0..i of R/A1 where A1 > 0 (0 while there is none)."""
+    ratio = np.divide(R, A1, out=np.zeros_like(R), where=A1 > 0.0)
+    return np.maximum.accumulate(ratio.max(axis=1))
 
 
 def lemma1_constant(
@@ -253,8 +248,7 @@ def lemma1_constant(
     A1 = _first_kernel_matrix(L, weights)
     if not np.any(A1 > 0.0):
         return 0.0
-    R = _discrete_resolvent(A1)
-    return _ratio_max(R, A1)
+    return float(_ratio_row_max(_discrete_resolvent(A1), A1)[-1])
 
 
 def theta_n(problem: GronwallProblem, K: float) -> GridFunction:
@@ -268,8 +262,7 @@ def theta_n(problem: GronwallProblem, K: float) -> GridFunction:
     """
     if K < 0.0:
         raise ParameterError(f"K must be >= 0, got {K}")
-    spec = problem.spec
-    weights = build_singular_weights(spec, problem.nu)
+    spec, weights = problem.spec, problem.weights
     m = spec.delay_steps
     n = problem.n_delay_intervals
     npts = spec.n_points
@@ -333,8 +326,7 @@ def _steps_curve(
 
 
 def _constants(problem: GronwallProblem) -> _Constants:
-    spec = problem.spec
-    weights = build_singular_weights(spec, problem.nu)
+    spec, weights = problem.spec, problem.weights
     n = problem.n_delay_intervals
     nu1 = problem.nu + (problem.nu - 1.0 / problem.q)
     C = comparison_constant(problem.nu, nu1, spec.t_end)
@@ -345,12 +337,8 @@ def _constants(problem: GronwallProblem) -> _Constants:
     if not np.any(A1 > 0.0):
         zeros = tuple(0.0 for _ in windows)
         return _Constants(0.0, K1, nu1, C, n, zeros, max(0.0, K1), True)
-    R = _discrete_resolvent(A1)
-    npts = spec.n_points
-    row_idx = np.arange(npts + 1)
-    K_lem_steps = []
-    for _, hi in windows:
-        K_lem_steps.append(_ratio_max(R, A1, rows=row_idx <= hi))
+    ratio_max = _ratio_row_max(_discrete_resolvent(A1), A1)
+    K_lem_steps = [float(ratio_max[hi]) for _, hi in windows]
     K_lemma = K_lem_steps[-1] if K_lem_steps else 0.0
 
     curve = _steps_curve(problem, weights, K_lemma).horizon_values
@@ -374,9 +362,8 @@ def _constants(problem: GronwallProblem) -> _Constants:
 
 
 def _build_report(problem: GronwallProblem, K: float, consts: _Constants) -> BoundReport:
-    weights = build_singular_weights(problem.spec, problem.nu)
     tn = theta_n(problem, K)
-    bound = tn + K * singular_convolution(problem.L * problem.theta, weights)
+    bound = tn + K * singular_convolution(problem.L * problem.theta, problem.weights)
     majorant = resolvent_majorant(problem)
     margin = bound - majorant
     return BoundReport(
@@ -403,8 +390,8 @@ def certify(problem: GronwallProblem, tol: float | None = None) -> Certification
 
     K is the maximum of the lemma constant, the per-window step constants, and
     the closed-form K1.  The verdict is pass iff the node-wise margin against
-    the sharp Picard oracle stays above -tol (default 1e-8 relative to the
-    oracle's sup).
+    the sharp oracle (the exact fixed point from ``resolvent_majorant``) stays
+    above -tol (default 1e-8 relative to the oracle's sup).
     """
     consts = _constants(problem)
     if not consts.fold_feasible:

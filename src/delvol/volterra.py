@@ -328,9 +328,8 @@ def _row_sum(g, i: int, lo: int, hi: int):
     acc = w @ vals if vals.ndim == 2 else np.dot(w, vals)
     m = g.m
     if g.jumps and lo <= m <= hi:
-        node = slice(m, m + 1)
-        left, right = g.values(i, node, left_limit=True), g.values(i, node)
-        acc = acc + g.weights.w_right[i - m + 1] * (left[0] - right[0])
+        left = g.values(i, slice(m, m + 1), left_limit=True)
+        acc = acc + g.weights.w_right[i - m + 1] * (left[0] - vals[m - lo])
     return acc
 
 

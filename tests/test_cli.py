@@ -1,10 +1,13 @@
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delvol import GridFunction, GridSpec, mittag_leffler_half
 from delvol.cli import RunConfig, parse_selector, run
@@ -200,6 +203,35 @@ grid.n_points = 128
     p1 = cli(["--config", str(cfg), "--out", str(tmp_path / "o1")])
     p2 = cli(["--config", str(cfg), "--out", str(tmp_path / "o2")])
     assert p1.returncode == p2.returncode == 0
+
+
+def test_hash_inside_value_is_kept(tmp_path):
+    # '#' opens a comment only at the start of a line or after whitespace
+    spec = GridSpec(t_end=1.0, n_points=128, h=0.25)
+    GridFunction.constant(spec, 1.0).to_csv(tmp_path / "th#1.csv")
+    text = VERIFY_ACTIVE.replace(
+        "problem.theta = constant(1)",
+        f"# theta from a table\nproblem.theta = table({tmp_path / 'th#1.csv'})  # ok",
+    )
+    cfg = write(tmp_path, "h.cfg", text)
+    assert RunConfig.parse(text).get("problem.theta") == f"table({tmp_path / 'th#1.csv'})"
+    proc = cli(["--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert proc.returncode == 0, proc.stderr
+
+
+def _plain_value(v):
+    return (
+        v == v.strip()
+        and "".join(v.splitlines()) == v
+        and not re.search(r"(?:^|\s)#", v)
+    )
+
+
+@given(value=st.text(alphabet=st.characters(codec="utf-8")).filter(_plain_value))
+@settings(max_examples=200, deadline=None)
+def test_config_value_round_trip(value):
+    cfg = RunConfig.parse(f"command = solve\nproblem.zeta = {value}  # comment\n")
+    assert cfg.get("problem.zeta") == value
 
 
 def test_estimates_command(tmp_path):

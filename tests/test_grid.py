@@ -26,8 +26,6 @@ def test_spec_validation():
     with pytest.raises(ParameterError):
         # 0.3 is not a multiple of dt = 0.1... within rounding it is 3 steps
         GridSpec(t_end=1.0, n_points=10, h=0.15)
-    with pytest.raises(ParameterError):
-        GridSpec(t_end=1.0, n_points=10, h=0.5, t_start=-0.4)
     spec = GridSpec(t_end=1.0, n_points=10, h=0.5)
     assert spec.t_start == -0.5
     assert spec.delay_steps == 5
