@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import HypothesisError, ParameterError
 from .grid import GridFunction, GridSpec
-from .quadrature import build_singular_weights
 from .volterra import GeneratorKernel, SolverConfig, VolterraProblem, picard_solve
 
 __all__ = [
@@ -49,7 +48,6 @@ class ExampleParams:
     delta_e: object  # inside the square root, in (0, 1]
     sigma_e: object = 1  # free-term power, in (0, 1]
     gamma_e: object = Fraction(1, 2)  # |t+1| power; either sign of 1-gamma works
-    h: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.nu_e < 1:
@@ -60,8 +58,6 @@ class ExampleParams:
             raise ParameterError(f"delta_e must lie in (0, 1], got {self.delta_e}")
         if not 0 < self.sigma_e <= 1:
             raise ParameterError(f"sigma_e must lie in (0, 1], got {self.sigma_e}")
-        if self.h < 0:
-            raise ParameterError(f"delay must be >= 0, got {self.h}")
 
 
 def _require_wellposed(params: ExampleParams):
@@ -212,15 +208,7 @@ def blowup_diagnostic(
         T = 1.0 - eps
         for n in resolutions:
             spec = GridSpec(t_end=T, n_points=n, h=T)
-            run_params = ExampleParams(
-                nu_e=params.nu_e,
-                beta_e=params.beta_e,
-                delta_e=params.delta_e,
-                sigma_e=params.sigma_e,
-                gamma_e=params.gamma_e,
-                h=T,
-            )
-            prob = example_problem(run_params, T, spec)
+            prob = example_problem(params, T, spec)
             cfg = SolverConfig(delta=T, force_delta=True)
             xi = picard_solve(prob, cfg)
             values[(eps, n)] = float(xi.at_time(T))

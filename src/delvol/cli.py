@@ -26,7 +26,6 @@ from .errors import ConvergenceError, DelvolError, EvaluationError
 from .estimates import corollary_check, young_check
 from .grid import GridFunction, GridSpec
 from .gronwall import GronwallProblem, certify, gronwall_bound
-from .quadrature import build_singular_weights
 from .reports import CheckRecord
 from .volterra import (
     GeneratorKernel,
@@ -51,38 +50,64 @@ class ConfigError(DelvolError, ValueError):
     pass
 
 
-_KNOWN_KEYS = frozenset(
-    {
-        "command",
-        "seed",
-        "problem.nu",
-        "problem.h",
-        "problem.T",
-        "problem.p",
-        "problem.q",
-        "problem.kernel",
-        "problem.zeta",
-        "problem.L",
-        "problem.theta",
-        "grid.n_points",
-        "solver.epsilon",
-        "solver.delta",
-        "solver.force_delta",
-        "solver.picard_tol",
-        "solver.max_iter",
-        "bound.K",
-        "output.tol",
-        "example.nu",
-        "example.beta",
-        "example.delta",
-        "example.sigma",
-        "example.gamma",
-        "example.epsilons",
-        "example.resolutions",
-        "estimates.cases",
-    }
-)
+def _number(raw: str):
+    """Float, keeping exact Fractions when written as a/b."""
+    return Fraction(raw) if "/" in raw else float(raw)
 
+
+def _float(raw: str) -> float:
+    return float(_number(raw))
+
+
+def _bool(raw: str) -> bool:
+    word = raw.lower()
+    if word not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(f"not a boolean: {raw!r}")
+    return word in ("true", "1", "yes")
+
+
+def _tuple_of(parse):
+    return lambda raw: tuple(parse(part) for part in raw.split(","))
+
+
+# what a malformed value raises: ValueError, ZeroDivisionError for a/0, or
+# OverflowError for a fraction beyond the float range
+_BAD_VALUE = (ValueError, ArithmeticError)
+
+# every accepted key and the parser of its value; str keeps the value as
+# written (the command and the function/kernel selectors), and an empty value
+# of any other key counts as absent
+_SCHEMA = {
+    "command": str,
+    "seed": int,
+    "problem.nu": _float,
+    "problem.h": _float,
+    "problem.T": _float,
+    "problem.p": _float,
+    "problem.q": _float,
+    "problem.kernel": str,
+    "problem.zeta": str,
+    "problem.L": str,
+    "problem.theta": str,
+    "grid.n_points": int,
+    "solver.epsilon": _float,
+    "solver.delta": _float,
+    "solver.force_delta": _bool,
+    "solver.picard_tol": _float,
+    "solver.max_iter": int,
+    "bound.K": _float,
+    "output.tol": _float,
+    "example.nu": _number,
+    "example.beta": _number,
+    "example.delta": _number,
+    "example.sigma": _number,
+    "example.gamma": _number,
+    "example.epsilons": _tuple_of(float),
+    "example.resolutions": _tuple_of(int),
+    "estimates.cases": int,
+}
+
+_REQUIRED = object()
 
 # '#' opens a comment at the start of a line or after whitespace, so a value
 # such as table(th#1.csv) keeps its '#'
@@ -90,19 +115,28 @@ _COMMENT_RE = re.compile(r"(?:^|\s)#")
 
 
 class RunConfig:
-    """Parsed flat key-value configuration."""
+    """Parsed flat key-value configuration, every value converted by ``_SCHEMA``."""
 
     def __init__(self, entries: dict, source_lines: list):
-        self.entries = entries
         self.source_lines = source_lines
         self.command = entries.get("command")
         if self.command not in _COMMANDS:
             raise ConfigError(
                 f"command must be one of {', '.join(_COMMANDS)}; got {self.command!r}"
             )
-        unknown = sorted(set(entries) - _KNOWN_KEYS)
+        unknown = sorted(set(entries) - set(_SCHEMA))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        self.values = {}
+        for key, raw in entries.items():
+            parse = _SCHEMA[key]
+            if parse is str:
+                self.values[key] = raw
+            elif raw:
+                try:
+                    self.values[key] = parse(raw)
+                except _BAD_VALUE as exc:
+                    raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
 
     @classmethod
     def parse(cls, text: str) -> "RunConfig":
@@ -121,54 +155,13 @@ class RunConfig:
             source.append(f"{key} = {value}")
         return cls(entries, source)
 
-    # -- typed getters ------------------------------------------------------
-
-    def get(self, key, default=None):
-        return self.entries.get(key, default)
-
-    def get_float(self, key, default=None):
-        raw = self.entries.get(key)
-        if raw is None or raw == "":
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return default
-        try:
-            return float(Fraction(raw)) if "/" in raw else float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad numeric value for {key!r}: {raw!r}") from exc
-
-    def get_number(self, key, default=None):
-        """Float, keeping exact Fractions when written as a/b."""
-        raw = self.entries.get(key)
-        if raw is None or raw == "":
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return default
-        try:
-            return Fraction(raw) if "/" in raw else float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad numeric value for {key!r}: {raw!r}") from exc
-
-    def get_int(self, key, default=None):
-        raw = self.entries.get(key)
-        if raw is None or raw == "":
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad integer value for {key!r}: {raw!r}") from exc
-
-    def get_bool(self, key, default=False):
-        raw = self.entries.get(key)
-        if raw is None or raw == "":
-            return default
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"bad boolean value for {key!r}: {raw!r}")
+    def get(self, key, default=_REQUIRED):
+        """The parsed value of key; without a default, a missing key is an error."""
+        if key in self.values:
+            return self.values[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key {key!r}")
+        return default
 
 
 _SELECTOR_RE = re.compile(r"^([a-zA-Z0-9_\-]+)\s*(?:\((.*)\))?$")
@@ -187,22 +180,20 @@ def parse_selector(raw: str):
 
 def _selector_number(arg: str) -> float:
     try:
-        return float(Fraction(arg)) if "/" in arg else float(arg)
-    except ValueError as exc:
+        return _float(arg)
+    except _BAD_VALUE as exc:
         raise ConfigError(f"bad selector argument {arg!r}") from exc
 
 
 def build_grid(cfg: RunConfig, grid_override=None) -> GridSpec:
-    n = grid_override or cfg.get_int("grid.n_points", 512)
-    T = cfg.get_float("problem.T", 1.0)
-    h = cfg.get_float("problem.h", 0.0)
+    n = grid_override or cfg.get("grid.n_points", 512)
+    T = cfg.get("problem.T", 1.0)
+    h = cfg.get("problem.h", 0.0)
     return GridSpec(t_end=T, n_points=n, h=h)
 
 
-def build_function(cfg: RunConfig, key: str, spec: GridSpec, default=None) -> GridFunction:
-    raw = cfg.get(key, default)
-    if raw is None:
-        raise ConfigError(f"missing required key {key!r}")
+def build_function(cfg: RunConfig, key: str, spec: GridSpec) -> GridFunction:
+    raw = cfg.get(key, "constant(1)")
     name, args = parse_selector(raw)
     if name == "constant":
         if len(args) != 1:
@@ -238,12 +229,9 @@ def _linear_kernel(c0: float, c1: float, c2: float, spec: GridSpec) -> Generator
 
 
 def build_volterra_problem(cfg: RunConfig, spec: GridSpec) -> VolterraProblem:
-    raw = cfg.get("problem.kernel")
-    if raw is None:
-        raise ConfigError("missing required key 'problem.kernel'")
-    name, args = parse_selector(raw)
-    nu = cfg.get_float("problem.nu")
-    p = cfg.get_float("problem.p", 4.0)
+    name, args = parse_selector(cfg.get("problem.kernel"))
+    nu = cfg.get("problem.nu")
+    p = cfg.get("problem.p", 4.0)
     if name == "zero":
         kernel = _linear_kernel(0.0, 0.0, 0.0, spec)
     elif name == "linear":
@@ -259,18 +247,11 @@ def build_volterra_problem(cfg: RunConfig, spec: GridSpec) -> VolterraProblem:
             raise ConfigError(
                 "example414 kernel needs example414(nu,beta,delta,sigma,gamma)"
             )
-        params = ExampleParams(
-            nu_e=_selector_number(args[0]),
-            beta_e=_selector_number(args[1]),
-            delta_e=_selector_number(args[2]),
-            sigma_e=_selector_number(args[3]),
-            gamma_e=_selector_number(args[4]),
-            h=spec.h,
-        )
+        params = ExampleParams(*(_selector_number(a) for a in args))
         return example_problem(params, spec.t_end, spec, p=p)
     else:
         raise ConfigError(f"unknown kernel selector {name!r}")
-    zeta = build_function(cfg, "problem.zeta", spec, default="constant(1)")
+    zeta = build_function(cfg, "problem.zeta", spec)
     return VolterraProblem(
         zeta=zeta,
         kernel=kernel,
@@ -283,27 +264,25 @@ def build_volterra_problem(cfg: RunConfig, spec: GridSpec) -> VolterraProblem:
 
 
 def build_gronwall_problem(cfg: RunConfig, spec: GridSpec) -> GronwallProblem:
-    nu = cfg.get_float("problem.nu")
-    q = cfg.get_float("problem.q", 2.0 / nu)
-    L = build_function(cfg, "problem.L", spec, default="constant(1)")
-    theta = build_function(cfg, "problem.theta", spec, default="constant(1)")
+    nu = cfg.get("problem.nu")
+    if not 0.0 < nu < 1.0:
+        raise ConfigError(f"problem.nu must lie in (0, 1), got {nu}")
+    q = cfg.get("problem.q", 2.0 / nu)
+    L = build_function(cfg, "problem.L", spec)
+    theta = build_function(cfg, "problem.theta", spec)
     return GronwallProblem(L=L, theta=theta, nu=nu, h=spec.h, q=q, spec=spec)
 
 
 def build_solver_config(cfg: RunConfig, prob: VolterraProblem) -> SolverConfig:
-    overrides = {}
-    if cfg.get("solver.picard_tol"):
-        overrides["picard_tol"] = cfg.get_float("solver.picard_tol")
-    if cfg.get("solver.max_iter"):
-        overrides["max_iter"] = cfg.get_int("solver.max_iter")
-    if cfg.get("solver.delta"):
-        overrides["delta"] = cfg.get_float("solver.delta")
-    if cfg.get("solver.force_delta"):
-        overrides["force_delta"] = cfg.get_bool("solver.force_delta")
-    if cfg.get("solver.epsilon"):
-        eps = cfg.get_float("solver.epsilon")
-        return SolverConfig(epsilon=eps, **overrides)
-    return SolverConfig.auto(prob, **overrides)
+    """``solver.<field>`` entries set the SolverConfig field of that name."""
+    fields = {
+        key.removeprefix("solver."): value
+        for key, value in cfg.values.items()
+        if key.startswith("solver.")
+    }
+    if "epsilon" in fields:
+        return SolverConfig(**fields)
+    return SolverConfig.auto(prob, **fields)
 
 
 def _header(cfg: RunConfig, seed: int, spec: GridSpec | None) -> list:
@@ -326,8 +305,10 @@ def _random_piecewise_linear(rng, spec: GridSpec, lo=0.0, hi=2.0) -> GridFunctio
 
 def _estimate_suite(cfg: RunConfig, seed: int):
     """Seeded randomized runs of both norm checks; deterministic ordering."""
-    cases = cfg.get_int("estimates.cases", 50)
-    n_points = cfg.get_int("grid.n_points", 1024)
+    cases = cfg.get("estimates.cases", 50)
+    if cases < 1:
+        raise ConfigError(f"estimates.cases must be >= 1, got {cases}")
+    n_points = cfg.get("grid.n_points", 1024)
     spec = GridSpec(t_end=1.0, n_points=n_points, h=0.0)
     young_exponents = [(1.0, 1.0, 1.0), (2.0, 2.0, 1.0), (math.inf, 2.0, 2.0)]
     corollary_params = [(0.5, 1.0, 2.0, 2.0), (0.7, 1.5, 6.0, 2.0)]
@@ -376,18 +357,16 @@ def run(cfg: RunConfig, out_dir: Path, seed: int, tol=None, grid_override=None) 
     if command in ("bound", "verify"):
         spec = build_grid(cfg, grid_override)
         prob = build_gronwall_problem(cfg, spec)
-        k_override = cfg.get("bound.K")
-        if k_override is not None and k_override != "":
-            report = gronwall_bound(prob, cfg.get_float("bound.K"))
-            margin_tol = tol if tol is not None else cfg.get_float(
-                "output.tol", 1e-8 * (1.0 + float(np.max(report.majorant.values)))
-            )
-            passed = float(np.min(report.margin.values)) >= -margin_tol
+        # --tol, else output.tol, else certify's default; 0 means 0
+        tol = tol if tol is not None else cfg.get("output.tol", None)
+        K = cfg.get("bound.K", None)
+        if K is not None:
+            report = gronwall_bound(prob, K)
+            if tol is None:
+                tol = 1e-8 * (1.0 + float(np.max(report.majorant.values)))
+            passed = float(np.min(report.margin.values)) >= -tol
         else:
-            raw_tol = tol if tol is not None else (
-                cfg.get_float("output.tol", 0.0) or None
-            )
-            result = certify(prob, tol=raw_tol)
+            result = certify(prob, tol=tol)
             report, passed = result.report, result.passed
         report.to_csv(out_dir / "bound_report.csv", header_lines=_header(cfg, seed, spec))
         if command == "bound":
@@ -396,22 +375,14 @@ def run(cfg: RunConfig, out_dir: Path, seed: int, tol=None, grid_override=None) 
 
     if command == "example414":
         params = ExampleParams(
-            nu_e=cfg.get_number("example.nu", Fraction(2, 3)),
-            beta_e=cfg.get_number("example.beta", Fraction(1, 2)),
-            delta_e=cfg.get_number("example.delta", Fraction(1, 2)),
-            sigma_e=cfg.get_number("example.sigma", 1),
-            gamma_e=cfg.get_number("example.gamma", Fraction(1, 2)),
+            nu_e=cfg.get("example.nu", Fraction(2, 3)),
+            beta_e=cfg.get("example.beta", Fraction(1, 2)),
+            delta_e=cfg.get("example.delta", Fraction(1, 2)),
+            sigma_e=cfg.get("example.sigma", 1),
+            gamma_e=cfg.get("example.gamma", Fraction(1, 2)),
         )
-        eps_raw = cfg.get("example.epsilons", "")
-        if eps_raw:
-            cutoffs = tuple(float(e) for e in eps_raw.split(","))
-        else:
-            cutoffs = tuple(0.1 * 2.0**-k for k in range(6))
-        res_raw = cfg.get("example.resolutions", "")
-        if res_raw:
-            resolutions = tuple(int(n) for n in res_raw.split(","))
-        else:
-            resolutions = (2048, 4096)
+        cutoffs = cfg.get("example.epsilons", tuple(0.1 * 2.0**-k for k in range(6)))
+        resolutions = cfg.get("example.resolutions", (2048, 4096))
         report = blowup_diagnostic(params, cutoffs, resolutions)
         report.to_csv(out_dir / "blowup.csv", header_lines=_header(cfg, seed, None))
         with open(out_dir / "verdict.txt", "w") as fh:
@@ -455,9 +426,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         cfg = RunConfig.parse(text)
-        seed = args.seed if args.seed is not None else int(
-            cfg.get("seed", DEFAULT_SEED)
-        )
+        seed = args.seed if args.seed is not None else cfg.get("seed", DEFAULT_SEED)
         return run(
             cfg,
             Path(args.out),

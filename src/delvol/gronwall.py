@@ -21,7 +21,6 @@ Constant constructions kept separate from the oracle:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -210,23 +209,22 @@ def resolvent_majorant(problem: GronwallProblem) -> GridFunction:
     return GridFunction.from_horizon_values(spec, x)
 
 
-def _first_kernel_matrix(
-    L: GridFunction, weights: SingularWeights
-) -> np.ndarray:
-    return weights.matrix() * L.horizon_values[None, :]
-
-
-def _discrete_resolvent(A1: np.ndarray) -> np.ndarray:
-    """Sum of iterated kernel matrices, (I - A1)^(-1) A1, with divergence check."""
-    _checked_gain(np.diagonal(A1)[1:])
-    eye = np.eye(A1.shape[0])
-    return np.linalg.solve(eye - A1, A1)
-
-
 def _ratio_row_max(R: np.ndarray, A1: np.ndarray) -> np.ndarray:
     """Running max over rows 0..i of R/A1 where A1 > 0 (0 while there is none)."""
     ratio = np.divide(R, A1, out=np.zeros_like(R), where=A1 > 0.0)
     return np.maximum.accumulate(ratio.max(axis=1))
+
+
+def _lemma_row_max(L: GridFunction, weights: SingularWeights) -> np.ndarray:
+    """Running row max of R/A1 for the first kernel A1 = w[i][j] L_j.
+
+    R = (I - A1)^(-1) A1 sums the iterated kernel matrices; a diagonal gain
+    >= 1 raises ``ConvergenceError``.  All zeros when L vanishes.
+    """
+    A1 = weights.matrix() * L.horizon_values[None, :]
+    _checked_gain(np.diagonal(A1)[1:])
+    R = np.linalg.solve(np.eye(A1.shape[0]) - A1, A1)
+    return _ratio_row_max(R, A1)
 
 
 def lemma1_constant(
@@ -244,11 +242,7 @@ def lemma1_constant(
     spec = spec or L.spec
     if L.spec != spec:
         raise StructuralError("L does not live on the supplied grid")
-    weights = build_singular_weights(spec, nu)
-    A1 = _first_kernel_matrix(L, weights)
-    if not np.any(A1 > 0.0):
-        return 0.0
-    return float(_ratio_row_max(_discrete_resolvent(A1), A1)[-1])
+    return float(_lemma_row_max(L, build_singular_weights(spec, nu))[-1])
 
 
 def theta_n(problem: GronwallProblem, K: float) -> GridFunction:
@@ -332,12 +326,8 @@ def _constants(problem: GronwallProblem) -> _Constants:
     C = comparison_constant(problem.nu, nu1, spec.t_end)
     K1 = step_constant_k1(problem.L, problem.nu, problem.q)
 
-    A1 = _first_kernel_matrix(problem.L, weights)
     windows = _window_ends(spec, n)
-    if not np.any(A1 > 0.0):
-        zeros = tuple(0.0 for _ in windows)
-        return _Constants(0.0, K1, nu1, C, n, zeros, max(0.0, K1), True)
-    ratio_max = _ratio_row_max(_discrete_resolvent(A1), A1)
+    ratio_max = _lemma_row_max(problem.L, weights)
     K_lem_steps = [float(ratio_max[hi]) for _, hi in windows]
     K_lemma = K_lem_steps[-1] if K_lem_steps else 0.0
 
@@ -368,7 +358,7 @@ def _build_report(problem: GronwallProblem, K: float, consts: _Constants) -> Bou
     margin = bound - majorant
     return BoundReport(
         K_steps=consts.K_steps,
-        K=max([*consts.K_steps, consts.K1, K]),
+        K=K,
         nu1=consts.nu1,
         C=consts.C,
         n=consts.n,

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .grid import GridFunction, GridSpec, shift_by_delay
+from .grid import GridFunction, GridSpec
 
 __all__ = [
     "SingularWeights",

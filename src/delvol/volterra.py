@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -114,6 +115,11 @@ class VolterraProblem:
             raise ParameterError("zeta must be finite at every node")
         if not np.all(np.isfinite(self.control_distance().values)):
             raise ParameterError("control must be finite-distance from u0")
+
+    @cached_property
+    def weights(self) -> SingularWeights:
+        """Product-integration weights of the problem grid, built once."""
+        return build_singular_weights(self.spec, self.nu)
 
     def control_distance(self) -> GridFunction:
         """d(u(t), u0) sampled on the grid."""
@@ -265,8 +271,8 @@ class _RowEngine:
     limit, the zero prehistory.
     """
 
-    def __init__(self, prob: VolterraProblem, weights: SingularWeights):
-        self.weights = weights
+    def __init__(self, prob: VolterraProblem):
+        self.weights = prob.weights
         self.m = prob.spec.delay_steps
         self.n = prob.spec.n_points
         self.t = prob.spec.times[self.m :]
@@ -363,7 +369,7 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
 
     n = spec.n_points
     zeta = prob.zeta.horizon_values
-    engine = _RowEngine(prob, build_singular_weights(spec, prob.nu)).load(zeta)
+    engine = _RowEngine(prob).load(zeta)
 
     for w_idx, lo in enumerate(range(0, n, step)):
         hi = min(lo + step, n)
@@ -405,7 +411,7 @@ def apply_state_operator(prob: VolterraProblem, z: GridFunction) -> GridFunction
     """One full application zeta + integral(kappa(., z, z(.-h), u))."""
     if z.spec != prob.spec:
         raise StructuralError("iterate does not live on the problem grid")
-    engine = _RowEngine(prob, build_singular_weights(prob.spec, prob.nu)).load(z.horizon_values)
+    engine = _RowEngine(prob).load(z.horizon_values)
     out = prob.zeta.horizon_values.copy()
     out[1:] += np.asarray([_row_sum(engine, i, 0, i) for i in range(1, prob.spec.n_points + 1)])
     return GridFunction.from_horizon_values(prob.spec, out)
@@ -424,10 +430,10 @@ def _default_q(nu: float) -> float:
     return _DEFAULT_Q_FACTOR / nu
 
 
-def _induced_forcing(prob: VolterraProblem, weights: SingularWeights) -> GridFunction:
+def _induced_forcing(prob: VolterraProblem) -> GridFunction:
     """|zeta| + int (L0 + L d(u, u0)) (t-s)^(nu-1) ds, the growth forcing."""
     drive = prob.kernel.L0 + prob.kernel.L * prob.control_distance()
-    return prob.zeta.magnitude() + singular_convolution(drive, weights)
+    return prob.zeta.magnitude() + singular_convolution(drive, prob.weights)
 
 
 def apriori_check(
@@ -438,13 +444,12 @@ def apriori_check(
     With K omitted, the constant is derived from the certified comparison
     bound of the induced growth inequality, which dominates |xi| node-wise.
     """
-    weights = build_singular_weights(prob.spec, prob.nu)
     lhs = lp_norm(xi, prob.p, window=(prob.spec.t_start, prob.spec.t_end))
     zeta_norm = lp_norm(prob.zeta, prob.p, window=(prob.spec.t_start, prob.spec.t_end))
     control_norm = lp_norm(prob.control_distance(), prob.p)
     constants = {}
     if K is None:
-        forcing = _induced_forcing(prob, weights)
+        forcing = _induced_forcing(prob)
         comparison = GronwallProblem.build(
             prob.kernel.L, forcing, prob.nu, _default_q(prob.nu)
         )
@@ -473,10 +478,9 @@ def _kappa_difference_curve(
     xi2: GridFunction,
 ) -> GridFunction:
     """t -> int_0^t |kappa(t,s,xi1,...) - kappa(t,s,xi2,...)| (t-s)^(nu-1) ds."""
-    weights = build_singular_weights(prob1.spec, prob1.nu)
     g = _KappaDifference(
-        _RowEngine(prob1, weights).load(xi1.horizon_values),
-        _RowEngine(prob2, weights).load(xi2.horizon_values),
+        _RowEngine(prob1).load(xi1.horizon_values),
+        _RowEngine(prob2).load(xi2.horizon_values),
     )
     out = np.zeros(prob1.spec.n_points + 1)
     out[1:] = [_row_sum(g, i, 0, i) for i in range(1, len(out))]

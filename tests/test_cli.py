@@ -1,7 +1,10 @@
+import contextlib
+import io
 import math
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delvol import GridFunction, GridSpec, mittag_leffler_half
-from delvol.cli import RunConfig, parse_selector, run
+from delvol.cli import _SCHEMA, RunConfig, main, parse_selector, run
 
 VERIFY_ZERO_L = """
 command = verify
@@ -232,6 +235,152 @@ def _plain_value(v):
 def test_config_value_round_trip(value):
     cfg = RunConfig.parse(f"command = solve\nproblem.zeta = {value}  # comment\n")
     assert cfg.get("problem.zeta") == value
+
+
+FLOAT_KEYS = [
+    "problem.nu", "problem.h", "problem.T", "problem.p", "problem.q",
+    "solver.epsilon", "solver.delta", "solver.picard_tol", "bound.K", "output.tol",
+]
+# written a/b, these keep the exact Fraction
+NUMBER_KEYS = [
+    "example.nu", "example.beta", "example.delta", "example.sigma", "example.gamma",
+]
+TYPED_KEYS = FLOAT_KEYS + NUMBER_KEYS + [
+    "seed", "grid.n_points", "solver.max_iter", "solver.force_delta",
+    "example.epsilons", "example.resolutions", "estimates.cases",
+]
+RAW_KEYS = ["command", "problem.kernel", "problem.zeta", "problem.L", "problem.theta"]
+
+
+def test_schema_lists_every_key_once():
+    assert sorted(_SCHEMA) == sorted(TYPED_KEYS + RAW_KEYS)
+    assert len(_SCHEMA) == 27
+    assert all(_SCHEMA[key] is str for key in RAW_KEYS)
+
+
+def test_values_are_typed_at_parse_time():
+    cfg = RunConfig.parse(
+        "command = example414\nseed = 7\nsolver.force_delta = Yes\n"
+        "example.epsilons = 0.1, 0.05\nexample.resolutions = 64,128\n"
+        "example.nu = 2/3\noutput.tol =\n"
+    )
+    assert cfg.get("seed") == 7
+    assert cfg.get("solver.force_delta") is True
+    assert cfg.get("example.epsilons") == (0.1, 0.05)
+    assert cfg.get("example.resolutions") == (64, 128)
+    assert cfg.get("example.nu") == Fraction(2, 3)
+    # an empty typed value counts as absent
+    assert cfg.get("output.tol", None) is None
+    with pytest.raises(Exception, match="missing required key 'problem.nu'"):
+        cfg.get("problem.nu")
+
+
+@given(key=st.sampled_from(FLOAT_KEYS + NUMBER_KEYS), x=st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=200, deadline=None)
+def test_typed_float_round_trip(key, x):
+    assert RunConfig.parse(f"command = solve\n{key} = {x!r}\n").get(key) == x
+
+
+@given(
+    key=st.sampled_from(FLOAT_KEYS + NUMBER_KEYS),
+    a=st.integers(-(10**15), 10**15),
+    b=st.integers(1, 10**15),
+)
+@settings(max_examples=200, deadline=None)
+def test_typed_fraction_round_trip(key, a, b):
+    got = RunConfig.parse(f"command = solve\n{key} = {a}/{b}\n").get(key)
+    want = Fraction(a, b) if key in NUMBER_KEYS else float(Fraction(a, b))
+    assert got == want and type(got) is type(want)
+
+
+def _exits_with_one_config_error(out_dir, text):
+    cfg = out_dir / "bad.cfg"
+    cfg.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--config", str(cfg), "--out", str(out_dir / "out")])
+    lines = err.getvalue().splitlines()
+    return code == 1 and len(lines) == 1 and lines[0].startswith("error: 1:")
+
+
+# numbers no typed key or selector argument accepts
+MALFORMED = st.one_of(
+    st.builds("{}/0".format, st.integers()),
+    st.builds("{}/{}/{}".format, st.integers(), st.integers(1), st.integers(1)),
+    st.builds("{}.5/{}".format, st.integers(0), st.integers(1)),
+    st.text(alphabet="bcdxz_@", min_size=1),
+)
+
+VERIFY_SMALL = "command = verify\nproblem.nu = 0.5\nproblem.h = 0.25\ngrid.n_points = 16\n"
+SOLVE_SMALL = "command = solve\nproblem.nu = 0.5\nproblem.h = 0.25\ngrid.n_points = 16\n"
+SELECTOR_CONFIGS = [
+    VERIFY_SMALL + "problem.theta = constant({})\n",
+    VERIFY_SMALL + "problem.L = power({})\n",
+    SOLVE_SMALL + "problem.kernel = linear(0,{},0)\n",
+    SOLVE_SMALL + "problem.kernel = zero\nproblem.zeta = constant({})\n",
+    SOLVE_SMALL + "problem.kernel = example414({},1/2,1/2,1,1/2)\n",
+]
+
+
+@given(
+    key=st.sampled_from(TYPED_KEYS),
+    command=st.sampled_from(["solve", "bound", "verify", "example414", "estimates"]),
+    bad=MALFORMED,
+)
+@settings(max_examples=200, deadline=None)
+def test_malformed_typed_value_is_config_error(tmp_path_factory, key, command, bad):
+    # checked at parse time, whether or not the command reads the key; the
+    # small sizes keep a command that ignored the bad line short
+    fast = "grid.n_points = 16\nestimates.cases = 1\nexample.epsilons = 0.1\nexample.resolutions = 16\n"
+    out = tmp_path_factory.mktemp("typed")
+    assert _exits_with_one_config_error(out, f"command = {command}\n{fast}{key} = {bad}\n")
+
+
+@given(template=st.sampled_from(SELECTOR_CONFIGS), bad=MALFORMED)
+@settings(max_examples=200, deadline=None)
+def test_malformed_selector_argument_is_config_error(tmp_path_factory, template, bad):
+    out = tmp_path_factory.mktemp("selector")
+    assert _exits_with_one_config_error(out, template.format(bad))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        VERIFY_SMALL.replace("0.5", "1/0", 1),
+        VERIFY_SMALL + "problem.theta = constant(1/0)\n",
+        "command = example414\nexample.nu = 1/0\n",
+        "command = estimates\nestimates.cases = 1\ngrid.n_points = 16\nproblem.nu = 1/0\n",
+        VERIFY_SMALL.replace("0.5", "0", 1),
+    ],
+    ids=["problem.nu", "constant", "example.nu", "unread-key", "zero-nu"],
+)
+def test_bad_number_is_config_error(tmp_path, text):
+    assert _exits_with_one_config_error(tmp_path, text)
+
+
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_empty_estimate_suite_rejected(tmp_path, cases):
+    text = f"command = estimates\nestimates.cases = {cases}\ngrid.n_points = 64\n"
+    assert _exits_with_one_config_error(tmp_path, text)
+    assert not (tmp_path / "out" / "estimates_report.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "output_tol, flag, expect",
+    [(None, None, None), ("0", None, 0.0), ("1e-6", None, 1e-6), ("1e-6", 0.0, 0.0), (None, 1e-3, 1e-3)],
+)
+def test_verify_tolerance_rule(tmp_path, monkeypatch, output_tol, flag, expect):
+    # --tol, else output.tol, else certify's default; an explicit 0 means 0
+    import delvol.cli
+
+    seen = []
+    real = delvol.cli.certify
+    monkeypatch.setattr(
+        delvol.cli, "certify", lambda prob, tol=None: seen.append(tol) or real(prob, tol=tol)
+    )
+    text = VERIFY_SMALL + (f"output.tol = {output_tol}\n" if output_tol else "")
+    assert run(RunConfig.parse(text), tmp_path, seed=1, tol=flag) == 0
+    assert seen == [expect] and type(seen[0]) is type(expect)
 
 
 def test_estimates_command(tmp_path):

@@ -287,6 +287,16 @@ def test_certify_builds_weights_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_bound_reports_the_K_it_used():
+    # with K = 0 the bound is theta_n itself; the report must say K = 0
+    prob = unit_problem(n_points=128, h=0.25, nu=0.6, q=2.0 / 0.6)
+    report = gronwall_bound(prob, 0.0)
+    assert report.K == 0.0
+    assert np.array_equal(report.bound.values, report.theta_n.values)
+    assert max(report.K_steps) > 0.0
+    assert gronwall_bound(prob, 3.5).K == 3.5
+
+
 def test_bound_zero_L_margins():
     prob = unit_problem(L_val=0.0)
     report = gronwall_bound(prob, 0.0)

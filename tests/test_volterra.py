@@ -156,6 +156,37 @@ def test_abel_convergence_order():
     assert min(orders) >= 1.3, orders
 
 
+def test_delayed_convergence_order():
+    # kappa = xi_h, h = 1/4: xi(1) = sum_k pi^(k/2) (1 - k/4)^(k/2) / Gamma(k/2 + 1)
+    exact = sum(
+        math.pi ** (k / 2) * (1.0 - k / 4) ** (k / 2) / math.gamma(k / 2 + 1)
+        for k in range(4)
+    )
+    errors = []
+    for n in (240, 480, 960, 1920):
+        spec = GridSpec(t_end=1.0, n_points=n, h=0.25)
+        xi = picard_solve(make_problem(spec, linear_kernel(spec, c2=1.0)))
+        errors.append(abs(xi.at_time(1.0) - exact))
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert min(orders) >= 1.4, orders
+
+
+def test_problem_builds_weights_once(monkeypatch):
+    import delvol.volterra as volterra
+
+    calls = []
+    real = volterra.build_singular_weights
+    monkeypatch.setattr(
+        volterra, "build_singular_weights", lambda *a: calls.append(a) or real(*a)
+    )
+    prob = delayed_problem(n_points=64)
+    xi = picard_solve(prob)
+    fixed_point_residual(prob, xi)
+    apriori_check(prob, xi, K=1.0)
+    assert len(calls) == 1
+    assert prob.weights is prob.weights
+
+
 def test_zero_delay_doubles_linear_gain():
     # h = 0 makes xi_h == xi, so kappa = xi + xi_h solves the 2x Abel equation
     spec = GridSpec(t_end=1.0, n_points=1000, h=0.0)
