@@ -303,12 +303,12 @@ def _random_piecewise_linear(rng, spec: GridSpec, lo=0.0, hi=2.0) -> GridFunctio
     return GridFunction.from_horizon_values(spec, np.interp(t, xs, ys))
 
 
-def _estimate_suite(cfg: RunConfig, seed: int):
+def _estimate_suite(cfg: RunConfig, seed: int, grid_override=None):
     """Seeded randomized runs of both norm checks; deterministic ordering."""
     cases = cfg.get("estimates.cases", 50)
     if cases < 1:
         raise ConfigError(f"estimates.cases must be >= 1, got {cases}")
-    n_points = cfg.get("grid.n_points", 1024)
+    n_points = grid_override or cfg.get("grid.n_points", 1024)
     spec = GridSpec(t_end=1.0, n_points=n_points, h=0.0)
     young_exponents = [(1.0, 1.0, 1.0), (2.0, 2.0, 1.0), (math.inf, 2.0, 2.0)]
     corollary_params = [(0.5, 1.0, 2.0, 2.0), (0.7, 1.5, 6.0, 2.0)]
@@ -362,9 +362,7 @@ def run(cfg: RunConfig, out_dir: Path, seed: int, tol=None, grid_override=None) 
         K = cfg.get("bound.K", None)
         if K is not None:
             report = gronwall_bound(prob, K)
-            if tol is None:
-                tol = 1e-8 * (1.0 + float(np.max(report.majorant.values)))
-            passed = float(np.min(report.margin.values)) >= -tol
+            passed, _ = report.verdict(tol)
         else:
             result = certify(prob, tol=tol)
             report, passed = result.report, result.passed
@@ -392,7 +390,7 @@ def run(cfg: RunConfig, out_dir: Path, seed: int, tol=None, grid_override=None) 
         return EXIT_OK
 
     if command == "estimates":
-        records = _estimate_suite(cfg, seed)
+        records = _estimate_suite(cfg, seed, grid_override)
         all_pass = all(r.passed for r in records)
         with open(out_dir / "estimates_report.txt", "w") as fh:
             for line in _header(cfg, seed, None):

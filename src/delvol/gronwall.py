@@ -133,6 +133,15 @@ class BoundReport:
             fh.write(f"C = {self.C:.17g}\n")
             fh.write(f"n = {self.n}\n")
 
+    def verdict(self, tol: float | None = None) -> tuple[bool, float]:
+        """(passed, tol): pass iff the node-wise margin stays >= -tol.
+
+        tol defaults to 1e-8 relative to the oracle's sup, 1e-8 (1 + max M).
+        """
+        if tol is None:
+            tol = 1e-8 * (1.0 + float(np.max(self.majorant.values)))
+        return float(np.min(self.margin.values)) >= -tol, tol
+
 
 @dataclass(frozen=True)
 class CertificationResult:
@@ -219,8 +228,11 @@ def _lemma_row_max(L: GridFunction, weights: SingularWeights) -> np.ndarray:
     """Running row max of R/A1 for the first kernel A1 = w[i][j] L_j.
 
     R = (I - A1)^(-1) A1 sums the iterated kernel matrices; a diagonal gain
-    >= 1 raises ``ConvergenceError``.  All zeros when L vanishes.
+    >= 1 raises ``ConvergenceError``.  All zeros when L vanishes, and then no
+    dense array is built.
     """
+    if not np.any(L.horizon_values):
+        return np.zeros(weights.spec.n_points + 1)
     A1 = weights.matrix() * L.horizon_values[None, :]
     _checked_gain(np.diagonal(A1)[1:])
     R = np.linalg.solve(np.eye(A1.shape[0]) - A1, A1)
@@ -381,7 +393,7 @@ def certify(problem: GronwallProblem, tol: float | None = None) -> Certification
     K is the maximum of the lemma constant, the per-window step constants, and
     the closed-form K1.  The verdict is pass iff the node-wise margin against
     the sharp oracle (the exact fixed point from ``resolvent_majorant``) stays
-    above -tol (default 1e-8 relative to the oracle's sup).
+    above -tol; ``BoundReport.verdict`` holds the rule and its default tol.
     """
     consts = _constants(problem)
     if not consts.fold_feasible:
@@ -390,12 +402,10 @@ def certify(problem: GronwallProblem, tol: float | None = None) -> Certification
             "no finite K can certify this grid problem"
         )
     report = _build_report(problem, consts.K_recommended, consts)
-    if tol is None:
-        tol = 1e-8 * (1.0 + float(np.max(report.majorant.values)))
-    margin = report.margin.values
+    passed, tol = report.verdict(tol)
     return CertificationResult(
         report=report,
-        passed=float(np.min(margin)) >= -tol,
+        passed=passed,
         tol=tol,
-        min_margin=float(np.min(margin[problem.spec.delay_steps + 1 :])),
+        min_margin=float(np.min(report.margin.values[problem.spec.delay_steps + 1 :])),
     )

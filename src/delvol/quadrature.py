@@ -8,7 +8,7 @@ piecewise-linear integrands and no kernel value is ever taken at s = t.
 Weights on a uniform grid depend only on the node distance d = i - j, so the
 full lower-triangular array is represented by two stencil vectors:
 ``w_left[d]`` (left endpoint of the cell at distance d) and ``w_right[d]``
-(right endpoint).  ``SingularWeights.row`` is the one place that lays a row
+(right endpoint).  ``SingularWeights.block`` is the one place that lays rows
 out from the stencils; convolutions run through an FFT-based linear
 convolution plus a rank-one boundary correction.
 """
@@ -57,8 +57,8 @@ def _linear_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class SingularWeights:
     """Lower-triangular weights approximating int_0^{t_i} f(s) (t_i - s)^(nu-1) ds.
 
-    Stored as distance stencils; ``row(i, lo, hi)`` and ``matrix()`` materialize
-    the conventional array.  All weights are nonnegative, rows sum to t_i^nu / nu,
+    Stored as distance stencils; ``block(i0, i1, lo, hi)`` materializes a block
+    of the conventional array.  All weights are nonnegative, rows sum to t_i^nu / nu,
     and first moments match the exact Beta-function value.
     """
 
@@ -84,29 +84,34 @@ class SingularWeights:
         e.flags.writeable = False
         return e
 
-    def row(self, i: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Weights w[i][lo..hi] of the i-th horizon node; hi defaults to i.
+    def block(self, i0: int, i1: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Weights w[i][j] for rows i0..i1 and columns lo..hi; hi defaults to i1.
 
-        The row is w_left[i] at j = 0, the reversed stencil ``_kernel[i - j]``
-        inside, and w_right[1] = ``_kernel[0]`` on the diagonal (the i = 0 row
-        is zero).  For lo > 0 the result is a read-only view of the stencil;
-        for lo = 0 it is a fresh copy.
+        Row i is w_left[i] at j = 0, the reversed stencil ``_kernel[i - j]``
+        for 0 < j <= i (w_right[1] = ``_kernel[0]`` on the diagonal) and zero
+        for j > i, so the i = 0 row is zero.  Every row is a window of one
+        zero-padded stretch of the stencil; the result is a fresh array.
         """
-        hi = i if hi is None else hi
-        seg = self._kernel[i - hi : i - lo + 1][::-1]
-        if lo > 0:
-            return seg
-        r = seg.copy()
-        r[0] = self.w_left[i]
-        return r
+        hi = i1 if hi is None else hi
+        d0 = i0 - hi  # smallest distance i - j in the block; d < 0 is above the diagonal
+        ext = self._kernel[max(d0, 0) : i1 - lo + 1]
+        if d0 < 0:
+            ext = np.concatenate([np.zeros(-d0), ext])
+        # row r is the reversed window ext[r : r + width]: a sliding-window view
+        # built directly, since numpy's helper costs more than a one-row block
+        shape, stride = (i1 - i0 + 1, hi - lo + 1), ext.strides[0]
+        out = np.ndarray(shape, ext.dtype, ext, strides=(stride, stride))[:, ::-1].copy()
+        if lo == 0:
+            out[:, 0] = self.w_left[i0 : i1 + 1]
+        return out
+
+    def row(self, i: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Weights w[i][lo..hi] of the i-th horizon node; hi defaults to i."""
+        return self.block(i, i, lo, hi)[0]
 
     def matrix(self) -> np.ndarray:
         """Dense (n+1) x (n+1) lower-triangular weight array."""
-        n = self.spec.n_points
-        out = np.zeros((n + 1, n + 1))
-        for i in range(1, n + 1):
-            out[i, : i + 1] = self.row(i)
-        return out
+        return self.block(0, self.spec.n_points)
 
     def apply_horizon(self, f: np.ndarray) -> np.ndarray:
         """Convolve horizon values f[0..n]: g[i] = sum_{j<=i} w[i][j] f[j]."""

@@ -8,16 +8,22 @@ Solves
 by Picard iteration over contraction windows.  Every quadrature row sum (the
 frozen history and the in-window part of a Picard sweep, one application of
 the state operator, and the kappa-difference curve of the stability check)
-goes through ``_row_sum``, which takes the row weights from
-``SingularWeights.row`` and splits the delay jump cell at s = h.  The
-generator kappa carries its growth and Lipschitz envelopes (L0, L, u0, omega)
-so the well-posedness estimates can be evaluated against the certified
-comparison machinery.
+goes through ``_block_sum``, which sums a block of rows with one kernel call,
+takes the weights from ``SingularWeights.block`` and splits the delay jump
+cell at s = h.  The generator kappa carries its growth and Lipschitz
+envelopes (L0, L, u0, omega) so the well-posedness estimates can be
+evaluated against the certified comparison machinery.
 
-Kernel callables must be vectorizable over the s-arguments:
-``kappa(t, s, xi, xi_h, u)`` receives a scalar t and same-length arrays for
-the rest, and returns an array of matching length (or (len, n) for vector
-states).
+Kernel contract: ``kappa(t, s, xi, xi_h, u)`` is vectorized.  s, xi, xi_h
+and u are same-length arrays along the s-axis (xi and xi_h are (C, dim) for
+vector states, so s enters there as s[:, None]).  t is either a scalar or a
+column of row times, shape (R, 1) for scalar states and (R, 1, 1) for vector
+states, which broadcasts against the s-axis arrays.  The answer is either
+s-shaped, (C,) or (C, dim), which says kappa ignores t and one row of values
+serves every row time, or it carries a leading row axis and broadcasts to
+(R, C) or (R, C, dim).  A scalar answer is broadcast to the s shape; any
+other shape raises ``StructuralError``.  Values at s > t are never used, so
+a kernel may be undefined there.
 """
 
 from __future__ import annotations
@@ -258,17 +264,20 @@ def choose_epsilon(
     return best[0], q, case
 
 
-# -- core row assembly -------------------------------------------------------
+# -- core block assembly -----------------------------------------------------
+
+# (t, s) pairs per kernel call; caps the weight block and a row-dependent answer
+_PAIR_BUDGET = 1 << 16
 
 
 class _RowEngine:
     """Integrand kappa(t_i, ., z, z(. - h), u) of one problem at a loaded state.
 
-    ``_row_sum`` turns an integrand into quadrature row sums; the row layout
+    ``_block_sum`` turns an integrand into quadrature row sums; the row layout
     (w_left at j = 0, the reversed stencil inside, w_right[1] on the diagonal)
-    lives in ``SingularWeights.row`` alone.  The delayed trace z(. - h) jumps
-    at s = h when z(0) != 0, so ``values`` can also sample under its left
-    limit, the zero prehistory.
+    lives in ``SingularWeights.block`` alone.  The delayed trace z(. - h)
+    jumps at s = h when z(0) != 0, so ``values`` can also sample under its
+    left limit, the zero prehistory.
     """
 
     def __init__(self, prob: VolterraProblem):
@@ -282,6 +291,7 @@ class _RowEngine:
     def load(self, z: np.ndarray) -> "_RowEngine":
         """Sample at a copy of state z (horizon values) and its lag z(. - h)."""
         self.z = np.zeros_like(z, dtype=float)
+        self.ndim = self.z.ndim  # of an answer that ignores t: (C,) or (C, dim)
         self.store(0, z)
         return self
 
@@ -294,17 +304,36 @@ class _RowEngine:
             self.zh[self.m :] = self.z[: self.n + 1 - self.m]
         self.jumps = self.m > 0 and bool(np.any(self.z[0] != 0.0))
 
-    def values(self, i: int, js: slice, left_limit: bool = False) -> np.ndarray:
+    def values(self, rows: slice, js: slice, left_limit: bool = False) -> np.ndarray:
+        """kappa at t_i (i in rows) and s_j (j in js), in one call.
+
+        t goes in as a column that broadcasts against the s-axis arrays.  The
+        answer is s-shaped when kappa ignores t, else it has a leading row
+        axis (see the module docstring for the contract).
+        """
+        shape = self.z[js].shape
+        t = self.t[rows].reshape((-1,) + (1,) * self.ndim)
         zh = self.zh[js] * 0.0 if left_limit else self.zh[js]
-        vals = self.kappa(self.t[i], self.t[js], self.z[js], zh, self.u[js])
-        return np.asarray(vals, dtype=float)
+        vals = np.asarray(self.kappa(t, self.t[js], self.z[js], zh, self.u[js]), dtype=float)
+        if vals.shape == shape:
+            return vals
+        if vals.ndim == 0:
+            return np.broadcast_to(vals, shape)
+        full = (len(t),) + shape
+        if vals.ndim == len(full):
+            try:
+                return np.broadcast_to(vals, full)
+            except ValueError:
+                pass
+        raise StructuralError(
+            f"kernel answer has shape {vals.shape}; expected {shape}, {full} or a scalar"
+        )
 
     def locate_bad_eval(self, i: int):
         """Time s of the first non-finite kernel value in row i, if any."""
-        vals = np.atleast_1d(self.values(i, slice(0, i + 1)))
-        flat = vals if vals.ndim == 1 else vals.sum(axis=tuple(range(1, vals.ndim)))
-        bad = np.argwhere(~np.isfinite(flat))
-        return float(self.t[int(bad[0][0])]) if bad.size else None
+        vals = self.values(slice(i, i + 1), slice(0, i + 1))
+        bad = ~np.isfinite(vals.reshape(i + 1, -1)).all(axis=1)
+        return float(self.t[int(np.argmax(bad))]) if bad.any() else None
 
 
 class _KappaDifference:
@@ -313,30 +342,55 @@ class _KappaDifference:
     def __init__(self, eng1: _RowEngine, eng2: _RowEngine):
         self.eng1, self.eng2 = eng1, eng2
         self.weights, self.m = eng1.weights, eng1.m
+        self.ndim = 1  # |difference| is one number per pair, also for vector states
         self.jumps = eng1.jumps or eng2.jumps
 
-    def values(self, i: int, js: slice, left_limit: bool = False) -> np.ndarray:
-        d = self.eng1.values(i, js, left_limit) - self.eng2.values(i, js, left_limit)
-        return np.abs(d) if d.ndim == 1 else np.linalg.norm(d, axis=1)
+    def values(self, rows: slice, js: slice, left_limit: bool = False) -> np.ndarray:
+        d = self.eng1.values(rows, js, left_limit) - self.eng2.values(rows, js, left_limit)
+        return np.abs(d) if self.eng1.ndim == 1 else np.linalg.norm(d, axis=-1)
 
 
-def _row_sum(g, i: int, lo: int, hi: int):
-    """sum_{lo <= j <= hi} w[i][j] g(t_i, s_j) with the s = h cell split.
+def _block_sum(g, i0: int, i1: int, lo: int, hi: int) -> np.ndarray:
+    """Rows i0..i1 of sum_{lo <= j <= min(hi, i)} w[i][j] g(t_i, s_j), s = h cell split.
 
-    When the delayed trace jumps and node m (s_m = h) lies in [lo, hi], the
-    node-m term is replaced by its split-cell value, so that the
-    piecewise-linear moments see one-sided limits.  The corrected row equals
-    the shifted-horizon discretization of the delayed term, which the
-    comparison operators use.  This is the only place the split is made.
+    The rows go to g in blocks of at most ``_PAIR_BUDGET`` (t, s) pairs, one
+    kappa call per block.  An s-shaped answer serves every row of the block
+    through one matvec with the weight block; an answer with a row axis is
+    summed row by row (einsum).  Pairs above the diagonal (s_j > t_i) carry
+    zero weight, but 0 * nan is nan: a non-finite answer is masked there, so
+    a kernel may be undefined at s > t, and a nan at s_j still makes every
+    row i >= j non-finite.
+
+    When the delayed trace jumps, every row i >= m (s_m = h) of a block whose
+    columns hold node m replaces the node-m term by its split-cell value, so
+    that the piecewise-linear moments see one-sided limits; the left limit
+    costs one more kappa call per block.  The corrected row equals the
+    shifted-horizon discretization of the delayed term, which the comparison
+    operators use.  This is the only place the split is made.
     """
-    vals = g.values(i, slice(lo, hi + 1))
-    w = g.weights.row(i, lo, hi)
-    acc = w @ vals if vals.ndim == 2 else np.dot(w, vals)
-    m = g.m
-    if g.jumps and lo <= m <= hi:
-        left = g.values(i, slice(m, m + 1), left_limit=True)
-        acc = acc + g.weights.w_right[i - m + 1] * (left[0] - vals[m - lo])
-    return acc
+    step = max(1, _PAIR_BUDGET // (min(hi, i1) - lo + 1))
+    out = []
+    for r0 in range(i0, i1 + 1, step):
+        r1 = min(r0 + step, i1 + 1) - 1
+        c1 = min(hi, r1)
+        vals = g.values(slice(r0, r1 + 1), slice(lo, c1 + 1))
+        w = g.weights.block(r0, r1, lo, c1)
+        per_row = vals.ndim > g.ndim
+        if not np.all(np.isfinite(vals)):
+            keep = np.arange(lo, c1 + 1) <= np.arange(r0, r1 + 1)[:, None]
+            vals = np.where(keep.reshape(keep.shape + (1,) * (g.ndim - 1)), vals, 0.0)
+            per_row = True
+        acc = np.einsum("rc,rc...->r...", w, vals) if per_row else w @ vals
+        m = g.m
+        if g.jumps and lo <= m <= c1:
+            k = max(m - r0, 0)  # the first row of the block that reaches node m
+            left = g.values(slice(r0 + k, r1 + 1), slice(m, m + 1), left_limit=True)
+            left = left[:, 0] if left.ndim > g.ndim else left[0]
+            right = vals[k:, m - lo] if per_row else vals[m - lo]
+            wr = g.weights.w_right[r0 + k - m + 1 : r1 - m + 2]
+            acc[k:] += wr.reshape((-1,) + (1,) * (acc.ndim - 1)) * (left - right)
+        out.append(acc)
+    return np.concatenate(out)
 
 
 def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> GridFunction:
@@ -373,20 +427,15 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
 
     for w_idx, lo in enumerate(range(0, n, step)):
         hi = min(lo + step, n)
-        rows = range(lo + 1, hi + 1)
-        frozen = [_row_sum(engine, i, 0, lo) for i in rows]
+        frozen = zeta[lo + 1 : hi + 1] + _block_sum(engine, lo + 1, hi, 0, lo)
         increments = []
         for _ in range(cfg.max_iter):
-            new_seg = np.asarray(
-                [zeta[i] + frozen[k] + _row_sum(engine, i, lo + 1, i) for k, i in enumerate(rows)]
-            )
-            if not np.all(np.isfinite(new_seg)):
-                per_row = (
-                    new_seg if new_seg.ndim == 1 else new_seg.sum(axis=tuple(range(1, new_seg.ndim)))
-                )
-                bad = int(np.argmax(~np.isfinite(per_row)))
-                t_bad = float(engine.t[lo + 1 + bad])
-                s_bad = engine.locate_bad_eval(lo + 1 + bad)
+            new_seg = frozen + _block_sum(engine, lo + 1, hi, lo + 1, hi)
+            bad_rows = ~np.isfinite(new_seg.reshape(len(new_seg), -1)).all(axis=1)
+            if bad_rows.any():
+                i_bad = lo + 1 + int(np.argmax(bad_rows))
+                t_bad = float(engine.t[i_bad])
+                s_bad = engine.locate_bad_eval(i_bad)
                 raise EvaluationError(
                     f"kernel produced a non-finite value at (t, s) = ({t_bad}, {s_bad})",
                     t=t_bad,
@@ -413,7 +462,7 @@ def apply_state_operator(prob: VolterraProblem, z: GridFunction) -> GridFunction
         raise StructuralError("iterate does not live on the problem grid")
     engine = _RowEngine(prob).load(z.horizon_values)
     out = prob.zeta.horizon_values.copy()
-    out[1:] += np.asarray([_row_sum(engine, i, 0, i) for i in range(1, prob.spec.n_points + 1)])
+    out[1:] += _block_sum(engine, 1, prob.spec.n_points, 0, prob.spec.n_points)
     return GridFunction.from_horizon_values(prob.spec, out)
 
 
@@ -482,8 +531,9 @@ def _kappa_difference_curve(
         _RowEngine(prob1).load(xi1.horizon_values),
         _RowEngine(prob2).load(xi2.horizon_values),
     )
-    out = np.zeros(prob1.spec.n_points + 1)
-    out[1:] = [_row_sum(g, i, 0, i) for i in range(1, len(out))]
+    n = prob1.spec.n_points
+    out = np.zeros(n + 1)
+    out[1:] = _block_sum(g, 1, n, 0, n)
     return GridFunction.from_horizon_values(prob1.spec, out)
 
 

@@ -400,6 +400,20 @@ grid.n_points = 256
     assert report.strip().endswith("suite: pass")
 
 
+def test_grid_flag_sets_the_estimates_grid(tmp_path):
+    # --grid overrides grid.n_points for the estimate suites too
+    text = "command = estimates\nestimates.cases = 3\ngrid.n_points = {n}\n"
+    reports = []
+    for n, flag in ((128, 64), (64, None), (128, None)):
+        out = tmp_path / f"out-{n}-{flag}"
+        assert run(RunConfig.parse(text.format(n=n)), out, seed=3, grid_override=flag) == 0
+        lines = (out / "estimates_report.txt").read_text().splitlines(keepends=True)
+        # the header echoes the config, which names n; the records follow it
+        reports.append("".join(l for l in lines if not l.startswith("#")))
+    assert reports[0] == reports[1]
+    assert reports[0] != reports[2]
+
+
 def test_example414_command(tmp_path):
     cfg = write(
         tmp_path,

@@ -319,6 +319,41 @@ def test_certify_zero_L_passes_with_zero_margin():
     assert np.all(res.report.margin.values == 0.0)
 
 
+def test_certify_zero_L_builds_no_dense_array(monkeypatch):
+    import delvol.gronwall as gronwall
+    from delvol.quadrature import SingularWeights
+
+    prob = unit_problem(n_points=128, L_val=0.0)
+    W = prob.weights
+    A1 = W.matrix() * prob.L.horizon_values[None, :]
+    dense = gronwall._ratio_row_max(np.linalg.solve(np.eye(A1.shape[0]) - A1, A1), A1)
+
+    def no_matrix(self):
+        raise AssertionError("dense weights built for L = 0")
+
+    monkeypatch.setattr(SingularWeights, "matrix", no_matrix)
+    assert np.array_equal(gronwall._lemma_row_max(prob.L, W), dense)
+    res = certify(prob)
+    assert res.passed and res.report.K == 0.0
+    assert res.report.K_steps == (0.0, 0.0)
+    assert np.all(res.report.margin.values == 0.0)
+
+
+def test_verdict_rule_is_shared(rng):
+    prob = make_problem(
+        GridFunction.constant(GridSpec(1.0, 128, h=0.25), 1.0),
+        random_piecewise_linear(rng, GridSpec(1.0, 128, h=0.25)),
+        0.6,
+        4.0,
+    )
+    res = certify(prob)
+    passed, tol = res.report.verdict()
+    assert (passed, tol) == (res.passed, res.tol)
+    assert tol == 1e-8 * (1.0 + float(np.max(res.report.majorant.values)))
+    assert res.report.verdict(0.0) == (float(np.min(res.report.margin.values)) >= 0.0, 0.0)
+    assert certify(prob, tol=0.0).tol == 0.0
+
+
 def test_certify_min_margin_is_over_positive_t():
     # on t <= 0 bound and oracle both equal theta, so the margin there is 0
     prob = unit_problem(n_points=128, h=0.25, nu=0.6, q=2.0 / 0.6)

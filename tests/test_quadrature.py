@@ -42,6 +42,19 @@ def test_row_identities(nu):
         for lo in range(0, i + 1, max(1, i // 7)):
             for hi in sorted({lo, (lo + i) // 2, i}):
                 assert np.array_equal(W.row(i, lo, hi), dense[i, lo : hi + 1])
+    # the dense array from the stencils directly: w_left in column 0, the
+    # stencil at distance i - j inside, zero above the diagonal and in row 0
+    n = spec.n_points
+    dist = np.subtract.outer(np.arange(n + 1), np.arange(n + 1))
+    expect = np.where(dist >= 0, W._kernel[np.clip(dist, 0, n)], 0.0)
+    expect[:, 0] = W.w_left[: n + 1]
+    assert np.array_equal(dense, expect)
+    # every block, including those reaching above the diagonal, is a slice
+    for i0, i1, lo, hi in [
+        (1, 1, 0, 1), (0, 128, 0, 128), (5, 40, 0, 40), (17, 64, 30, 100),
+        (64, 128, 0, 63), (100, 110, 101, 128), (3, 9, 9, 9), (20, 20, 21, 30),
+    ]:
+        assert np.array_equal(W.block(i0, i1, lo, hi), dense[i0 : i1 + 1, lo : hi + 1])
 
 
 def test_single_cell_row_sum():

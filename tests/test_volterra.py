@@ -562,3 +562,168 @@ def test_generator_spot_check():
     assert report["lipschitz_slack"] >= -1e-12
     assert report["combined_slack"] >= -1e-12
     assert report["t_continuity_ratio"] <= 1e-12  # t-independent kernel
+
+
+# -- block kernel evaluation ----------------------------------------------------
+
+
+def per_row_operator(prob, z):
+    """zeta + integral(kappa(., z, z(.-h), u)) one row at a time, with scalar t.
+
+    The reference for the blocked sums: row i of the dense weights against
+    kappa(t_i, ...), plus the s = h split-cell correction when the lag jumps.
+    """
+    spec, W = prob.spec, prob.weights
+    m, n = spec.delay_steps, spec.n_points
+    t = spec.times[m:]
+    zv = z.horizon_values
+    zh = np.zeros_like(zv)
+    zh[m:] = zv[: n + 1 - m]
+    u = prob.control.horizon_values
+    kappa = prob.kernel.kappa
+    dense = W.matrix()
+    out = prob.zeta.horizon_values.astype(float)
+    for i in range(1, n + 1):
+        vals = np.asarray(kappa(t[i], t[: i + 1], zv[: i + 1], zh[: i + 1], u[: i + 1]))
+        acc = dense[i, : i + 1] @ vals
+        if 0 < m <= i and np.any(zv[0] != 0.0):
+            js = slice(m, m + 1)
+            left = np.asarray(kappa(t[i], t[js], zv[js], 0.0 * zh[js], u[js]))[0]
+            acc = acc + W.w_right[i - m + 1] * (left - vals[m])
+        out[i] += acc
+    return out
+
+
+def _example414_problem():
+    from delvol.cases import ExampleParams, example_problem
+
+    spec = GridSpec(t_end=0.9, n_points=90, h=0.3)  # no node at the singular s = 1
+    return example_problem(ExampleParams(2 / 3, 1 / 2, 1 / 2, 1, 1 / 2), 0.9, spec)
+
+
+def _t_dependent_vector_problem():
+    spec = GridSpec(t_end=1.0, n_points=96, h=0.25)
+
+    def kappa(t, s, xi, xi_h, u):
+        xi, xi_h = np.asarray(xi, dtype=float), np.asarray(xi_h, dtype=float)
+        return (1.0 + t) * xi * np.array([1.0, 0.5]) + np.cos(t - s[:, None]) * xi_h[:, ::-1]
+
+    kernel = GeneratorKernel(
+        kappa=kappa,
+        L0=GridFunction.constant(spec, 0.0),
+        L=GridFunction.constant(spec, 2.0),
+        u0=np.zeros(1),
+        dim_state=2,
+    )
+    zeta = GridFunction(spec, np.column_stack([_wavy(spec, 1.0).values, _wavy(spec, -0.5).values]))
+    return VolterraProblem(
+        zeta=zeta, kernel=kernel, control=GridFunction.zeros(spec),
+        nu=0.4, h=0.25, p=4.0, spec=spec,
+    )
+
+
+@pytest.mark.parametrize("budget", [None, 97])
+@pytest.mark.parametrize("build", [_example414_problem, _t_dependent_vector_problem])
+def test_blocked_operator_matches_per_row_reference(monkeypatch, build, budget):
+    # t-dependent kernels take the row-axis path; a small pair budget cuts the
+    # triangle into many row blocks, some of them straddling the split node
+    import delvol.volterra as volterra
+
+    if budget is not None:
+        monkeypatch.setattr(volterra, "_PAIR_BUDGET", budget)
+    prob = build()
+    z = prob.zeta  # z(0) != 0, so the lag jumps at s = h
+    got = apply_state_operator(prob, z).horizon_values
+    expect = per_row_operator(prob, z)
+    assert np.max(np.abs(got - expect)) <= 1e-13 * (1.0 + np.max(np.abs(expect)))
+
+
+def test_kernel_undefined_above_the_diagonal_solves():
+    # kappa = sqrt(t - s) xi_h is nan only at s > t, which carries no weight
+    spec = GridSpec(t_end=1.0, n_points=256, h=0.25)
+
+    def kappa(t, s, xi, xi_h, u):
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(t - s) * np.asarray(xi_h, dtype=float)
+
+    kernel = GeneratorKernel(
+        kappa=kappa,
+        L0=GridFunction.constant(spec, 0.0),
+        L=GridFunction.constant(spec, 1.0),
+        u0=np.zeros(1),
+    )
+    prob = make_problem(spec, kernel)
+    cfg = SolverConfig.auto(prob)
+    xi = picard_solve(prob, cfg)
+    assert np.all(np.isfinite(xi.values))
+    res = fixed_point_residual(prob, xi)
+    assert res <= 10.0 * cfg.picard_tol * (1.0 + float(np.max(np.abs(xi.values))))
+    expect = per_row_operator(prob, xi)
+    assert np.max(np.abs(apply_state_operator(prob, xi).horizon_values - expect)) <= 1e-13 * (
+        1.0 + np.max(np.abs(expect))
+    )
+
+
+def test_picard_calls_kappa_per_block_not_per_row(monkeypatch):
+    # one call per window history, one per sweep, and at most one more for
+    # the split's left limit in a block that holds s = h
+    import delvol.volterra as volterra
+
+    calls = []
+    spec = GridSpec(t_end=1.0, n_points=128, h=0.25)
+    base = linear_kernel(spec, c1=0.5, c2=1.0)
+    kernel = GeneratorKernel(
+        kappa=lambda *args: calls.append(1) or base.kappa(*args),
+        L0=base.L0,
+        L=base.L,
+        u0=np.zeros(1),
+    )
+    prob = make_problem(spec, kernel)
+    starts = []
+    real_store = volterra._RowEngine.store
+    monkeypatch.setattr(
+        volterra._RowEngine, "store",
+        lambda self, start, seg: starts.append(start) or real_store(self, start, seg),
+    )
+    picard_solve(prob, SolverConfig(delta=1.0, force_delta=True, chunk_nodes=16))
+    sweeps = starts[1:]  # the first store is the initial load
+    windows = len(set(sweeps))
+    assert windows == 8
+    assert len(calls) <= 2 * (windows + len(sweeps))
+    assert len(calls) * 8 < len(sweeps) * 16  # a per-row loop makes 16 per sweep
+
+
+@pytest.mark.parametrize(
+    "answer",
+    [lambda s: np.ones(len(s) + 1), lambda s: np.ones((len(s), 2)), lambda s: np.ones((2, 3, 4))],
+)
+def test_wrongly_shaped_kernel_answer_is_structural_error(answer):
+    spec = GridSpec(t_end=1.0, n_points=32, h=0.25)
+    kernel = GeneratorKernel(
+        kappa=lambda t, s, xi, xi_h, u: answer(s),
+        L0=GridFunction.constant(spec, 1.0),
+        L=GridFunction.constant(spec, 0.0),
+        u0=np.zeros(1),
+    )
+    prob = make_problem(spec, kernel)
+    with pytest.raises(StructuralError):
+        picard_solve(prob)
+    with pytest.raises(StructuralError):
+        apply_state_operator(prob, prob.zeta)
+
+
+def test_scalar_and_row_column_answers_broadcast():
+    # a constant answer and one that depends on t alone (shape (R, 1)) both
+    # integrate to c t^nu / nu on the horizon
+    spec = GridSpec(t_end=1.0, n_points=64, h=0.25)
+    t = spec.times[spec.delay_steps :]
+    for kappa in (lambda t, s, xi, xi_h, u: 2.0, lambda t, s, xi, xi_h, u: 2.0 + 0.0 * t):
+        kernel = GeneratorKernel(
+            kappa=kappa,
+            L0=GridFunction.constant(spec, 2.0),
+            L=GridFunction.constant(spec, 0.0),
+            u0=np.zeros(1),
+        )
+        prob = make_problem(spec, kernel, zeta_val=0.0)
+        got = apply_state_operator(prob, prob.zeta).horizon_values
+        np.testing.assert_allclose(got, 2.0 * t**0.5 / 0.5, rtol=1e-12, atol=1e-15)
