@@ -6,8 +6,8 @@ section prefixes (see README for the full schema).  All outputs carry a
 reproducibility header (config echo, seed, grid) and identical config + seed
 produce byte-identical files.
 
-Exit codes: 0 success / certification pass, 1 config error, 2 numerical
-non-convergence, 3 certification failure.
+Exit codes: 0 success / certification pass, 1 config or usage error, 2
+numerical non-convergence, 3 certification failure.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def _selector_number(arg: str) -> float:
 
 
 def build_grid(cfg: RunConfig, grid_override=None) -> GridSpec:
-    n = grid_override or cfg.get("grid.n_points", 512)
+    n = grid_override if grid_override is not None else cfg.get("grid.n_points", 512)
     T = cfg.get("problem.T", 1.0)
     h = cfg.get("problem.h", 0.0)
     return GridSpec(t_end=T, n_points=n, h=h)
@@ -308,7 +308,7 @@ def _estimate_suite(cfg: RunConfig, seed: int, grid_override=None):
     cases = cfg.get("estimates.cases", 50)
     if cases < 1:
         raise ConfigError(f"estimates.cases must be >= 1, got {cases}")
-    n_points = grid_override or cfg.get("grid.n_points", 1024)
+    n_points = grid_override if grid_override is not None else cfg.get("grid.n_points", 1024)
     spec = GridSpec(t_end=1.0, n_points=n_points, h=0.0)
     young_exponents = [(1.0, 1.0, 1.0), (2.0, 2.0, 1.0), (math.inf, 2.0, 2.0)]
     corollary_params = [(0.5, 1.0, 2.0, 2.0), (0.7, 1.5, 6.0, 2.0)]
@@ -404,8 +404,13 @@ def run(cfg: RunConfig, out_dir: Path, seed: int, tol=None, grid_override=None) 
     raise ConfigError(f"unhandled command {command!r}")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a config error: exit 1, one line
+        self.exit(EXIT_CONFIG, f"error: {EXIT_CONFIG}: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="delvol",
         description="Delayed weakly singular Volterra equations: solve, bound, certify.",
     )
@@ -413,7 +418,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--tol", type=float, default=None, help="certification tolerance")
     parser.add_argument("--seed", type=int, default=None, help="random seed")
-    parser.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect")
     parser.add_argument("--grid", type=int, default=None, help="override grid.n_points")
     args = parser.parse_args(argv)
 

@@ -145,12 +145,11 @@ class VolterraProblem:
 class SolverConfig:
     """Contraction parameters and Picard controls.
 
-    ``delta`` is the window length; when None it is derived from
-    ``contraction_window``.  ``force_delta`` acknowledges a delta larger than
-    the certified window (plain Picard still converges on the grid, only the
-    norm-contraction guarantee is waived).  Windows are additionally split
-    into chunks of at most ``chunk_nodes`` nodes, which refines the certified
-    window and never hurts.
+    ``delta`` is the window length; when None, ``picard_solve`` takes the
+    certified ``contraction_window``.  ``force_delta`` acknowledges a delta
+    larger than the certified window (plain Picard still converges on the
+    grid, only the norm-contraction guarantee is waived).  Every value must
+    be finite.
     """
 
     epsilon: float = 0.0
@@ -158,15 +157,17 @@ class SolverConfig:
     picard_tol: float = 1e-10
     max_iter: int = 500
     force_delta: bool = False
-    chunk_nodes: int = 256
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise ParameterError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.picard_tol <= 0.0:
-            raise ParameterError("picard_tol must be positive")
-        if self.max_iter < 1 or self.chunk_nodes < 1:
-            raise ParameterError("max_iter and chunk_nodes must be >= 1")
+        # each comparison is False for nan, so the chains reject it too
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ParameterError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if self.delta is not None and not 0.0 < self.delta < math.inf:
+            raise ParameterError(f"delta must be finite and > 0, got {self.delta}")
+        if not 0.0 < self.picard_tol < math.inf:
+            raise ParameterError(f"picard_tol must be finite and > 0, got {self.picard_tol}")
+        if self.max_iter < 1:
+            raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
 
     @classmethod
     def auto(cls, prob: VolterraProblem, **overrides) -> "SolverConfig":
@@ -199,7 +200,9 @@ def contraction_window(
 
     Here e1 = 1 - (1+eps)(1-nu) and the norm exponent is pq/(p-q) from the
     exponent relation (sup norm when p = q).  The left side increases in
-    delta, so monotone bisection applies.
+    delta, so when delta = T fails the condition, equality gives the window
+    in closed form: delta = (e1 (0.99 / (2 ||L||))^(1+eps))^(1/e1).  Testing T
+    first keeps a tiny ||L|| from overflowing the power.
     """
     e1 = 1.0 - (1.0 + epsilon) * (1.0 - nu)
     if e1 <= 0.0:
@@ -210,21 +213,9 @@ def contraction_window(
     norm = lp_norm(L, r)
     if not math.isfinite(norm):
         raise HypothesisError(f"||L|| with exponent {r} is not finite")
-
-    def gain(delta: float) -> float:
-        return 2.0 * (delta**e1 / e1) ** (1.0 / (1.0 + epsilon)) * norm
-
-    target = 0.99
-    if gain(T) <= target:
+    if 2.0 * (T**e1 / e1) ** (1.0 / (1.0 + epsilon)) * norm <= 0.99:
         return T
-    lo, hi = 0.0, T
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if gain(mid) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return min(T, (e1 * (0.99 / (2.0 * norm)) ** (1.0 + epsilon)) ** (1.0 / e1))
 
 
 def choose_epsilon(
@@ -268,6 +259,8 @@ def choose_epsilon(
 
 # (t, s) pairs per kernel call; caps the weight block and a row-dependent answer
 _PAIR_BUDGET = 1 << 16
+# nodes per Picard window at most, so that an in-window sweep is one kernel call
+_WINDOW_NODES = math.isqrt(_PAIR_BUDGET)
 
 
 class _RowEngine:
@@ -275,34 +268,33 @@ class _RowEngine:
 
     ``_block_sum`` turns an integrand into quadrature row sums; the row layout
     (w_left at j = 0, the reversed stencil inside, w_right[1] on the diagonal)
-    lives in ``SingularWeights.block`` alone.  The delayed trace z(. - h)
-    jumps at s = h when z(0) != 0, so ``values`` can also sample under its
-    left limit, the zero prehistory.
+    lives in ``SingularWeights.block`` alone.  The state is kept in the grid's
+    own layout, m = h/dt zero prehistory nodes before the horizon values, so
+    the lag z(s_j - h) of horizon node j is the same array read at j and can
+    never fall out of step with z.  The lag jumps at s = h when z(0) != 0, so
+    ``values`` can also sample under its left limit, the zero prehistory.
     """
 
     def __init__(self, prob: VolterraProblem):
         self.weights = prob.weights
         self.m = prob.spec.delay_steps
-        self.n = prob.spec.n_points
         self.t = prob.spec.times[self.m :]
         self.kappa = prob.kernel.kappa
         self.u = prob.control.horizon_values
 
     def load(self, z: np.ndarray) -> "_RowEngine":
         """Sample at a copy of state z (horizon values) and its lag z(. - h)."""
-        self.z = np.zeros_like(z, dtype=float)
+        self.state = np.zeros((self.m + len(z),) + np.shape(z)[1:])
+        self.z = self.state[self.m :]
         self.ndim = self.z.ndim  # of an answer that ignores t: (C,) or (C, dim)
         self.store(0, z)
+        # no sweep writes node 0, so whether the lag jumps is fixed here
+        self.jumps = self.m > 0 and bool(np.any(self.z[0] != 0.0))
         return self
 
     def store(self, start: int, seg: np.ndarray) -> None:
-        """Write seg into the state from node start on; the lag follows it."""
+        """Write seg into the state from node start on."""
         self.z[start : start + len(seg)] = seg
-        # z(. - h) is zero off [0, T]; it jumps at s = h when z(0) != 0
-        self.zh = np.zeros_like(self.z)
-        if self.m <= self.n:
-            self.zh[self.m :] = self.z[: self.n + 1 - self.m]
-        self.jumps = self.m > 0 and bool(np.any(self.z[0] != 0.0))
 
     def values(self, rows: slice, js: slice, left_limit: bool = False) -> np.ndarray:
         """kappa at t_i (i in rows) and s_j (j in js), in one call.
@@ -313,8 +305,8 @@ class _RowEngine:
         """
         shape = self.z[js].shape
         t = self.t[rows].reshape((-1,) + (1,) * self.ndim)
-        zh = self.zh[js] * 0.0 if left_limit else self.zh[js]
-        vals = np.asarray(self.kappa(t, self.t[js], self.z[js], zh, self.u[js]), dtype=float)
+        lag = self.state[js] * 0.0 if left_limit else self.state[js]
+        vals = np.asarray(self.kappa(t, self.t[js], self.z[js], lag, self.u[js]), dtype=float)
         if vals.shape == shape:
             return vals
         if vals.ndim == 0:
@@ -398,28 +390,26 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
 
     On each window the map z -> zeta + integral(kappa(., z, z(.-h), u)) is
     iterated with the already-solved history frozen, until the sup-norm
-    increment falls below picard_tol relative to the iterate size.
+    increment falls below picard_tol relative to the iterate size.  A window
+    holds at most ``_WINDOW_NODES`` nodes, which refines the certified window
+    and never hurts.
     """
     cfg = config if config is not None else SolverConfig.auto(prob)
     spec = prob.spec
-    if cfg.delta is None:
-        delta = contraction_window(
+    delta = cfg.delta
+    # a forced delta waives the certificate, so its hypotheses go unchecked
+    if delta is None or not cfg.force_delta:
+        certified = contraction_window(
             prob.kernel.L, prob.nu, prob.p, cfg.epsilon, spec.t_end
         )
-    else:
-        delta = cfg.delta
-        if not cfg.force_delta:
-            certified = contraction_window(
-                prob.kernel.L, prob.nu, prob.p, cfg.epsilon, spec.t_end
+        if delta is None:
+            delta = certified
+        elif delta > certified * (1.0 + 1e-9):
+            raise ParameterError(
+                f"delta={delta} exceeds the certified window {certified}; "
+                "set force_delta=True to override"
             )
-            if delta > certified * (1.0 + 1e-9):
-                raise ParameterError(
-                    f"delta={delta} exceeds the certified window {certified}; "
-                    "set force_delta=True to override"
-                )
-    if not 0.0 < delta:
-        raise ParameterError(f"window length delta must be positive, got {delta}")
-    step = max(1, min(int(delta / spec.dt), cfg.chunk_nodes))
+    step = max(1, min(int(delta / spec.dt), _WINDOW_NODES))
 
     n = spec.n_points
     zeta = prob.zeta.horizon_values
@@ -453,7 +443,7 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
                 history=increments,
                 window=w_idx,
             )
-    return GridFunction.from_horizon_values(spec, engine.z)
+    return GridFunction(spec, engine.state)
 
 
 def apply_state_operator(prob: VolterraProblem, z: GridFunction) -> GridFunction:

@@ -358,6 +358,62 @@ def test_bad_number_is_config_error(tmp_path, text):
     assert _exits_with_one_config_error(tmp_path, text)
 
 
+@pytest.mark.parametrize(
+    "entries, field",
+    [
+        ("solver.delta = inf\nsolver.force_delta = true\n", "delta"),
+        ("solver.epsilon = nan\n", "epsilon"),
+        ("solver.picard_tol = inf\n", "picard_tol"),
+    ],
+    ids=["forced-inf-delta", "nan-epsilon", "inf-tol"],
+)
+def test_non_finite_solver_value_is_config_error(tmp_path, entries, field):
+    # the error names the offending field, not a window derived from it
+    cfg = write(tmp_path, "s.cfg", SOLVE_SMALL + "problem.kernel = linear(0,1,0)\n" + entries)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--config", str(cfg), "--out", str(tmp_path / "out")])
+    lines = err.getvalue().splitlines()
+    assert code == 1 and len(lines) == 1 and lines[0].startswith("error: 1:")
+    assert field in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["--config", "c.cfg", "--grid", "abc"], "invalid int value"),
+        (["--out", "out"], "required: --config"),
+        (["--config", "c.cfg", "--workers", "3"], "unrecognized arguments: --workers 3"),
+    ],
+    ids=["bad-grid", "no-config", "workers"],
+)
+def test_usage_error_is_one_config_error_line(capsys, argv, reason):
+    # argparse's own exit code 2 would read as non-convergence
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    lines = capsys.readouterr().err.splitlines()
+    assert exc.value.code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: 1:") and reason in lines[0]
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+def test_explicit_zero_grid_is_honoured(tmp_path):
+    # --grid 0 is an explicit value, not an absent one
+    cfg = write(tmp_path, "v.cfg", VERIFY_ACTIVE)
+    proc = cli(["--config", str(cfg), "--out", str(tmp_path / "out"), "--grid", "0"])
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: 1: n_points must be >= 2, got 0"]
+    estimates = RunConfig.parse("command = estimates\nestimates.cases = 1\n")
+    with pytest.raises(ValueError, match="n_points must be >= 2, got 0"):
+        run(estimates, tmp_path / "est", seed=1, grid_override=0)
+
+
 @pytest.mark.parametrize("cases", ["0", "-3"])
 def test_empty_estimate_suite_rejected(tmp_path, cases):
     text = f"command = estimates\nestimates.cases = {cases}\ngrid.n_points = 64\n"
@@ -394,7 +450,7 @@ grid.n_points = 256
 """,
     )
     out = tmp_path / "out"
-    proc = cli(["--config", str(cfg), "--out", str(out), "--workers", "3"])
+    proc = cli(["--config", str(cfg), "--out", str(out)])
     assert proc.returncode == 0, proc.stderr
     report = (out / "estimates_report.txt").read_text()
     assert report.strip().endswith("suite: pass")

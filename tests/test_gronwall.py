@@ -160,6 +160,25 @@ def test_lemma1_monotone_in_scale():
     assert scaled >= base
 
 
+@pytest.mark.parametrize("nu", [0.4, 0.6, 0.8])
+def test_lemma1_constant_mittag_leffler_limit(nu):
+    # constant L = 1 on [0, 1]: the resolvent over the first kernel is
+    # Gamma(nu) E_{nu,nu}(Gamma(nu) (t - s)^nu), largest at t - s = 1; the
+    # grid constant approaches it at first order
+    from scipy.special import gamma
+
+    k = np.arange(200)
+    exact = gamma(nu) * np.sum(gamma(nu) ** k / gamma(nu * k + nu))
+    errors = []
+    for n in (128, 256, 512):
+        spec = GridSpec(t_end=1.0, n_points=n)
+        K = lemma1_constant(GridFunction.constant(spec, 1.0), nu, 2.0 / nu)
+        errors.append(abs(K - exact) / exact)
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert min(orders) >= 0.8
+    assert errors[-1] <= 0.02
+
+
 def test_theta_n_prefix_bitwise(rng):
     spec = GridSpec(t_end=1.0, n_points=128, h=0.25)
     prob = make_problem(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from delvol import (
     ConvergenceError,
@@ -31,6 +33,7 @@ from delvol import (
     singular_convolution,
     stability_check,
 )
+from delvol.volterra import _norm_exponent
 
 
 def linear_kernel(spec, c0=0.0, c1=0.0, c2=0.0):
@@ -101,6 +104,61 @@ def test_contraction_window_hypothesis():
     L = GridFunction.constant(spec, 1.0)
     with pytest.raises(HypothesisError):
         contraction_window(L, 0.3, 4.0, 3.0, 1.0)  # (1+eps)(1-nu) >= 1
+
+
+def _bisection_window(norm, nu, epsilon, T):
+    """Reference: 200 bisection steps on the monotone gain, as the solver once did."""
+    e1 = 1.0 - (1.0 + epsilon) * (1.0 - nu)
+
+    def gain(delta):
+        return 2.0 * (delta**e1 / e1) ** (1.0 / (1.0 + epsilon)) * norm
+
+    if gain(T) <= 0.99:
+        return T
+    lo, hi = 0.0, T
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if gain(mid) <= 0.99:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@given(
+    nu=st.floats(0.05, 0.95),
+    p=st.floats(1.0, 10.0),
+    eps_frac=st.floats(0.0, 0.95),
+    level=st.floats(0.0, 1e3),
+)
+@settings(max_examples=200, deadline=None)
+def test_contraction_window_closed_form_matches_bisection(nu, p, eps_frac, level):
+    # epsilon spans the admissible range: q >= 1 needs eps <= p - 1, e1 > 0
+    # needs eps < nu / (1 - nu)
+    epsilon = eps_frac * min(p - 1.0, nu / (1.0 - nu))
+    spec = GridSpec(t_end=1.0, n_points=64)
+    L = GridFunction.constant(spec, level)
+    norm = lp_norm(L, _norm_exponent(p, epsilon)[1])
+    ref = _bisection_window(norm, nu, epsilon, 1.0)
+    assume(ref >= 2.0**-150)  # below that the bisection itself has few bits
+    delta = contraction_window(L, nu, p, epsilon, 1.0)
+    assert abs(delta - ref) <= 1e-12 * ref
+    e1 = 1.0 - (1.0 + epsilon) * (1.0 - nu)
+    gain = 2.0 * (delta**e1 / e1) ** (1.0 / (1.0 + epsilon)) * norm
+    assert gain <= 0.99 * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("field", ["epsilon", "delta", "picard_tol"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_solver_config_rejects_non_finite(field, bad):
+    with pytest.raises(ParameterError):
+        SolverConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.5])
+def test_solver_config_rejects_non_positive_delta(delta):
+    with pytest.raises(ParameterError, match="delta must be finite and > 0"):
+        SolverConfig(delta=delta, force_delta=True)
 
 
 def test_choose_epsilon_cases():
@@ -265,7 +323,7 @@ def test_delayed_fixed_point_residual_small():
     spec = GridSpec(t_end=1.0, n_points=256, h=0.25)
     zeta = GridFunction.from_callable(spec, lambda t: 1.0 + np.sin(4.0 * t))
     prob = make_problem(spec, linear_kernel(spec, c1=0.5, c2=1.0), zeta=zeta)
-    cfg = SolverConfig.auto(prob, chunk_nodes=16)
+    cfg = SolverConfig.auto(prob)
     xi = picard_solve(prob, cfg)
     res = fixed_point_residual(prob, xi)
     scale = 1.0 + float(np.max(np.abs(xi.values)))
@@ -685,7 +743,7 @@ def test_picard_calls_kappa_per_block_not_per_row(monkeypatch):
         volterra._RowEngine, "store",
         lambda self, start, seg: starts.append(start) or real_store(self, start, seg),
     )
-    picard_solve(prob, SolverConfig(delta=1.0, force_delta=True, chunk_nodes=16))
+    picard_solve(prob, SolverConfig(delta=16 * spec.dt, force_delta=True))
     sweeps = starts[1:]  # the first store is the initial load
     windows = len(set(sweeps))
     assert windows == 8
