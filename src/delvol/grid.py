@@ -247,7 +247,8 @@ def lp_norm(f: GridFunction, p: float, window=None) -> float:
     """Lp norm of |f| over a node-aligned window, by composite trapezoid.
 
     Defaults to the [0, t_end] window.  ``p = math.inf`` returns the discrete
-    sup of |f| over the window nodes.
+    sup of |f| over the window nodes.  The sum is taken on |f| / max |f|, so a
+    large p neither overflows nor underflows.
     """
     if p != math.inf and p < 1.0:
         raise ParameterError(f"exponent p must be >= 1 or inf, got {p}")
@@ -260,9 +261,12 @@ def lp_norm(f: GridFunction, p: float, window=None) -> float:
         return float(np.max(mag)) if mag.size else 0.0
     if i1 == i0:
         return 0.0
+    mx = float(np.max(mag))
+    if mx == 0.0 or not math.isfinite(mx):
+        return mx
     w = np.full(i1 - i0 + 1, spec.dt)
     w[0] = w[-1] = 0.5 * spec.dt
-    return float(np.sum(w * mag**p) ** (1.0 / p))
+    return mx * float(np.sum(w * (mag / mx) ** p) ** (1.0 / p))
 
 
 def shift_by_delay(f: GridFunction) -> GridFunction:

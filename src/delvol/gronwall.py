@@ -12,7 +12,8 @@ discrete system ``resolvent_majorant`` solves exactly by the method of steps.
 
 Constant constructions kept separate from the oracle:
   * ``lemma1_constant`` dominates the non-delayed resolvent by the first kernel,
-    entrywise on the discretized operators (one triangular solve).
+    entrywise on the discretized operators (column-strip forward
+    substitution, O(n^3/3) work, O(n b) memory).
   * ``certify`` runs an exact discrete method of steps: per delay window, the
     delayed term is frozen at the previous window's dominating curve and the
     non-delayed resolvent bound is applied.  The minimal K folding the
@@ -218,6 +219,9 @@ def resolvent_majorant(problem: GronwallProblem) -> GridFunction:
     return GridFunction.from_horizon_values(spec, x)
 
 
+_STRIP = 256  # column-strip width and row-block height of ``_lemma_row_max``
+
+
 def _ratio_row_max(R: np.ndarray, A1: np.ndarray) -> np.ndarray:
     """Running max over rows 0..i of R/A1 where A1 > 0 (0 while there is none)."""
     ratio = np.divide(R, A1, out=np.zeros_like(R), where=A1 > 0.0)
@@ -227,16 +231,46 @@ def _ratio_row_max(R: np.ndarray, A1: np.ndarray) -> np.ndarray:
 def _lemma_row_max(L: GridFunction, weights: SingularWeights) -> np.ndarray:
     """Running row max of R/A1 for the first kernel A1 = w[i][j] L_j.
 
-    R = (I - A1)^(-1) A1 sums the iterated kernel matrices; a diagonal gain
-    >= 1 raises ``ConvergenceError``.  All zeros when L vanishes, and then no
-    dense array is built.
+    R = (I - A1)^(-1) A1 sums the iterated kernel matrices.  It is found by
+    column-strip forward substitution, O(n^3/3) work, O(n b) memory, with
+    b = ``_STRIP``; R is never formed whole.  First the diagonal block
+    R[I, I] of each row block I is substituted row by row against the pivots
+    1 - w_right[1] L_i.  Then each column strip J = [c0, c0 + b) of R, lower
+    triangular, is walked down its row blocks I = [r0, r1): one BLAS-3 update
+    rhs = A1[I, J] + A1[I, c0:r0] R[c0:r0, J], and R[I, J] = rhs + R[I, I] rhs
+    because (I - A1[I, I])^(-1) = I + R[I, I].  Every term is nonnegative, so
+    nothing cancels.  Only weight blocks of b rows are built, and each
+    finished strip is folded into the running max.  A diagonal gain >= 1
+    raises ``ConvergenceError``.  All zeros when L vanishes, and then no
+    weights are built.
     """
     if not np.any(L.horizon_values):
         return np.zeros(weights.spec.n_points + 1)
-    A1 = weights.matrix() * L.horizon_values[None, :]
-    _checked_gain(np.diagonal(A1)[1:])
-    R = np.linalg.solve(np.eye(A1.shape[0]) - A1, A1)
-    return _ratio_row_max(R, A1)
+    L = L.horizon_values
+    npts = weights.spec.n_points
+    pivot = np.ones(npts + 1)
+    pivot[1:] -= _checked_gain(weights.w_right[1] * L[1:])
+    diag = []  # R[I, I] of each row block I
+    for r0 in range(0, npts + 1, _STRIP):
+        r1 = min(r0 + _STRIP, npts + 1)
+        A = weights.block(r0, r1 - 1, r0, r1 - 1) * L[r0:r1]
+        R = np.zeros_like(A)
+        for k in range(r1 - r0):
+            R[k] = (A[k] + A[k, :k] @ R[:k]) / pivot[r0 + k]
+        diag.append(R)
+    out = np.zeros(npts + 1)
+    for c0 in range(0, npts + 1, _STRIP):
+        c1 = min(c0 + _STRIP, npts + 1)
+        S = np.empty((npts + 1 - c0, c1 - c0))  # R[c0:, J]
+        A1 = np.empty_like(S)  # A1[c0:, J]
+        for r0, R in zip(range(c0, npts + 1, _STRIP), diag[c0 // _STRIP :]):
+            r1 = r0 + len(R)
+            blk = weights.block(r0, r1 - 1, c0, r1 - 1) * L[c0:r1]
+            A1[r0 - c0 : r1 - c0] = blk[:, : c1 - c0]
+            rhs = A1[r0 - c0 : r1 - c0] + blk[:, : r0 - c0] @ S[: r0 - c0]
+            S[r0 - c0 : r1 - c0] = rhs + R @ rhs
+        out[c0:] = np.maximum(out[c0:], _ratio_row_max(S, A1))
+    return out
 
 
 def lemma1_constant(
@@ -246,8 +280,9 @@ def lemma1_constant(
 
     Both sides are the product-integration discretizations, so the ratio is
     stable under grid refinement.  The iterated-kernel series is summed in
-    closed form by a triangular solve; a diagonal gain >= 1 (the only way the
-    series can diverge on the grid) raises ``ConvergenceError``.
+    closed form by column-strip forward substitution, O(n^3/3) work, O(n b)
+    memory; a diagonal gain >= 1 (the only way the series can diverge on the
+    grid) raises ``ConvergenceError``.
     """
     if q * nu <= 1.0:
         raise HypothesisError(f"requires q > 1/nu, got q={q}, nu={nu}")

@@ -110,7 +110,10 @@ class SingularWeights:
         return self.block(i, i, lo, hi)[0]
 
     def matrix(self) -> np.ndarray:
-        """Dense (n+1) x (n+1) lower-triangular weight array."""
+        """Dense (n+1) x (n+1) lower-triangular weight array.
+
+        No library code calls it; it is the tests' dense reference.
+        """
         return self.block(0, self.spec.n_points)
 
     def apply_horizon(self, f: np.ndarray) -> np.ndarray:

@@ -88,6 +88,14 @@ def test_lp_norm_homogeneous(alpha):
     assert lp_norm(g, 2) == pytest.approx(abs(alpha) * lp_norm(f, 2), abs=1e-12)
 
 
+@pytest.mark.parametrize("value, p", [(1e3, 103.0), (1e-3, 200.0)])
+def test_lp_norm_large_exponent_keeps_its_scale(value, p):
+    # the plain sum of value^p overflows (1e3) or underflows (1e-3) here
+    spec = GridSpec(t_end=1.0, n_points=64)
+    f = GridFunction.constant(spec, value)
+    assert lp_norm(f, p) == pytest.approx(value, rel=1e-12)
+
+
 def test_lp_norm_refinement_second_order():
     closed = math.sqrt(0.5 + math.sin(2.0) / 4.0)
     errs = []

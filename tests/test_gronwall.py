@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delvol import (
     ConvergenceError,
@@ -292,6 +294,81 @@ def test_ratio_row_max_is_running_masked_max(rng):
         pos = A1[: i + 1] > 0.0
         expect = np.max(R[: i + 1][pos] / A1[: i + 1][pos]) if pos.any() else 0.0
         assert got[i] == expect
+
+
+@pytest.mark.parametrize("nu", [0.4, 0.8])
+@pytest.mark.parametrize("n", [255, 256, 257, 600])
+def test_lemma_row_max_matches_dense_resolvent(n, nu, rng):
+    # strips and row blocks end ragged at these n; L vanishes on a stretch,
+    # so whole columns of A1 are 0 and masked
+    from delvol.gronwall import _lemma_row_max, _ratio_row_max
+
+    spec = GridSpec(t_end=1.0, n_points=n)
+    t = spec.times[spec.delay_steps :]
+    vals = random_piecewise_linear(rng, spec).horizon_values.copy()
+    vals[(t > 0.3) & (t < 0.6)] = 0.0
+    L = GridFunction.from_horizon_values(spec, vals)
+    W = build_singular_weights(spec, nu)
+    A1 = W.matrix() * vals[None, :]
+    dense = _ratio_row_max(np.linalg.solve(np.eye(n + 1) - A1, A1), A1)
+    got = _lemma_row_max(L, W)
+    assert dense[-1] > 0.0
+    assert np.all(np.abs(got - dense) <= 1e-12 * dense)
+
+
+def test_lemma_row_max_peaks_below_one_dense_array():
+    import tracemalloc
+
+    from delvol.gronwall import _lemma_row_max
+
+    spec = GridSpec(t_end=1.0, n_points=2048, h=0.25)
+    t = spec.times[spec.delay_steps :]
+    L = GridFunction.from_horizon_values(spec, 1.0 + 0.5 * np.sin(3.0 * t))
+    W = build_singular_weights(spec, 0.6)
+    dense_bytes = (spec.n_points + 1) ** 2 * np.dtype(float).itemsize  # 33.6 MB
+    tracemalloc.start()
+    try:
+        _lemma_row_max(L, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_oracle_is_monotone_and_below_the_certified_bound(data):
+    # the theorem: the equality solution for any (theta' <= theta, L' <= L)
+    # satisfies the inequality for (theta, L), so it lies below the oracle,
+    # which lies below the certified bound
+    n = data.draw(st.sampled_from([16, 32, 64, 128]))
+    nu = data.draw(st.sampled_from([0.4, 0.6, 0.8]))
+    spec = GridSpec(t_end=1.0, n_points=n, h=data.draw(st.sampled_from([0.25, 0.5])))
+    t = spec.times[spec.delay_steps :]
+
+    def piecewise_linear(lo, hi):
+        k = data.draw(st.integers(2, 6))
+        ys = data.draw(st.lists(st.floats(lo, hi), min_size=k, max_size=k))
+        return np.interp(t, np.linspace(0.0, 1.0, k), ys)
+
+    L, theta = piecewise_linear(0.0, 1.5), piecewise_linear(0.1, 2.0)
+    L_small, theta_small = L * piecewise_linear(0.0, 1.0), theta * piecewise_linear(0.0, 1.0)
+
+    def build(L, theta):
+        return make_problem(
+            GridFunction.from_horizon_values(spec, L),
+            GridFunction.from_horizon_values(spec, theta),
+            nu,
+            2.0 / nu,
+        )
+
+    prob = build(L, theta)
+    oracle = resolvent_majorant(prob).values
+    below = resolvent_majorant(build(L_small, theta_small)).values
+    bound = certify(prob).report.bound.values
+    tol = 1e-12 * (1.0 + float(np.max(oracle)))
+    assert np.all(below <= oracle + tol)
+    assert np.all(oracle <= bound + tol)
 
 
 def test_certify_builds_weights_once(monkeypatch):
