@@ -252,21 +252,35 @@ def lp_norm(f: GridFunction, p: float, window=None) -> float:
     """
     if p != math.inf and p < 1.0:
         raise ParameterError(f"exponent p must be >= 1 or inf, got {p}")
+    return _lp_norm_at(f, window)(p)
+
+
+def _lp_norm_at(f: GridFunction, window=None):
+    """p -> ``lp_norm(f, p, window)``, with |f|, its max and the weights found once.
+
+    A scan over many exponents of one function takes the norms from one such
+    callable; p is not checked here.
+    """
     spec = f.spec
     if window is None:
         window = (0.0, spec.t_end)
     i0, i1 = _window_slice(spec, window)
     mag = f.magnitude().values[i0 : i1 + 1]
-    if p == math.inf:
-        return float(np.max(mag)) if mag.size else 0.0
-    if i1 == i0:
-        return 0.0
     mx = float(np.max(mag))
-    if mx == 0.0 or not math.isfinite(mx):
-        return mx
+    scaled = mag / mx if 0.0 < mx < math.inf else None
     w = np.full(i1 - i0 + 1, spec.dt)
     w[0] = w[-1] = 0.5 * spec.dt
-    return mx * float(np.sum(w * (mag / mx) ** p) ** (1.0 / p))
+
+    def norm(p: float) -> float:
+        if p == math.inf:
+            return mx
+        if i1 == i0:
+            return 0.0
+        if scaled is None:  # max |f| is 0 or not finite
+            return mx
+        return mx * float(np.sum(w * scaled**p) ** (1.0 / p))
+
+    return norm
 
 
 def shift_by_delay(f: GridFunction) -> GridFunction:

@@ -356,14 +356,22 @@ def _steps_curve(
     Window by window, the delayed term is bounded using the previous window's
     curve and the non-delayed resolvent bound R f <= K_lemma * A1 f (exact on
     the grid by construction of K_lemma) is applied to the frozen forcing.
+    Window (lo, hi] reads only nodes <= hi, so it convolves that prefix alone
+    and writes only its own nodes.  The curve can grow by many decades over
+    the horizon, and so the FFT round-off of a later window, which scales
+    with that window's values, never reaches the nodes of an earlier one.
     """
-    cur = problem.theta
-    for _ in _window_ends(problem.spec, problem.n_delay_intervals):
-        forcing = problem.theta + delayed_product_convolution(
-            problem.L, cur, weights
-        )
-        cur = forcing + K_lemma * singular_convolution(problem.L * forcing, weights)
-    return cur
+    m = problem.spec.delay_steps
+    L = problem.L.horizon_values
+    theta = problem.theta.horizon_values
+    cur = theta.copy()
+    for lo, hi in _window_ends(problem.spec, problem.n_delay_intervals):
+        forcing = theta[: hi + 1].copy()
+        if hi > m:  # the delayed term: the shifted convolution of L(. + h) cur
+            forcing[m:] += weights.apply_horizon(L[m : hi + 1] * cur[: hi + 1 - m])
+        seg = forcing + K_lemma * weights.apply_horizon(L[: hi + 1] * forcing)
+        cur[lo + 1 : hi + 1] = seg[lo + 1 :]
+    return GridFunction.from_horizon_values(problem.spec, cur)
 
 
 def _constants(problem: GronwallProblem) -> _Constants:

@@ -9,8 +9,11 @@ Weights on a uniform grid depend only on the node distance d = i - j, so the
 full lower-triangular array is represented by two stencil vectors:
 ``w_left[d]`` (left endpoint of the cell at distance d) and ``w_right[d]``
 (right endpoint).  ``SingularWeights.block`` is the one place that lays rows
-out from the stencils; convolutions run through an FFT-based linear
-convolution plus a rank-one boundary correction.
+out from the stencils.  The lower-triangular Toeplitz product with a horizon
+prefix, ``SingularWeights.apply_horizon``, is the one place that sums by
+convolution: one FFT-based linear convolution with the stencil plus a
+rank-one boundary correction.  Every convolution in the library and the
+full-horizon row sums of the Volterra solver go through it.
 """
 
 from __future__ import annotations
@@ -117,11 +120,17 @@ class SingularWeights:
         return self.block(0, self.spec.n_points)
 
     def apply_horizon(self, f: np.ndarray) -> np.ndarray:
-        """Convolve horizon values f[0..n]: g[i] = sum_{j<=i} w[i][j] f[j]."""
-        n = self.spec.n_points
+        """Convolve a horizon prefix f[0..k], k <= n: g[i] = sum_{j<=i} w[i][j] f[j].
+
+        The lower-triangular Toeplitz product of the first k + 1 rows, by one
+        FFT of the stencil (``_linear_convolve``) and the w_left edge fix at
+        j = 0.  Rows i <= k read only f[0..i], so a prefix gives the same rows
+        as the full horizon, up to the FFT round-off of the longer transform.
+        """
+        size = len(f)
         if f.ndim == 1:
-            g = _linear_convolve(f, self._kernel)[: n + 1]
-            g -= f[0] * self._edge
+            g = _linear_convolve(f, self._kernel[:size])[:size]
+            g -= f[0] * self._edge[:size]
             g[0] = 0.0
             return g
         return np.stack(

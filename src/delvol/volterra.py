@@ -8,11 +8,17 @@ Solves
 by Picard iteration over contraction windows.  Every quadrature row sum (the
 frozen history and the in-window part of a Picard sweep, one application of
 the state operator, and the kappa-difference curve of the stability check)
-goes through ``_block_sum``, which sums a block of rows with one kernel call,
-takes the weights from ``SingularWeights.block`` and splits the delay jump
-cell at s = h.  The generator kappa carries its growth and Lipschitz
-envelopes (L0, L, u0, omega) so the well-posedness estimates can be
-evaluated against the certified comparison machinery.
+goes through ``_block_sum``, which also splits the delay jump cell at s = h.
+It sums by one of three paths.  A kernel that reads t is called once per
+block of rows and summed row by row.  A kernel that ignores t (an s-shaped
+answer) is called once per sum, and its values serve every row: through one
+matvec per row block with ``SingularWeights.block``, or, for a full prefix
+(the state operator and the kappa-difference curve), through one
+lower-triangular Toeplitz product by FFT, ``SingularWeights.apply_horizon``.
+A Picard solve builds its in-window weight block once.  The generator kappa
+carries its growth and Lipschitz envelopes (L0, L, u0, omega) so the
+well-posedness estimates can be evaluated against the certified comparison
+machinery.
 
 Kernel contract: ``kappa(t, s, xi, xi_h, u)`` is vectorized.  s, xi, xi_h
 and u are same-length arrays along the s-axis (xi and xi_h are (C, dim) for
@@ -41,7 +47,7 @@ from .errors import (
     ParameterError,
     StructuralError,
 )
-from .grid import GridFunction, GridSpec, lp_norm
+from .grid import GridFunction, GridSpec, _lp_norm_at, lp_norm
 from .gronwall import GronwallProblem, certify
 from .quadrature import SingularWeights, build_singular_weights, singular_convolution
 from .reports import CheckRecord
@@ -204,13 +210,18 @@ def contraction_window(
     in closed form: delta = (e1 (0.99 / (2 ||L||))^(1+eps))^(1/e1).  Testing T
     first keeps a tiny ||L|| from overflowing the power.
     """
+    return _contraction_window(_lp_norm_at(L), nu, p, epsilon, T)
+
+
+def _contraction_window(norm_of, nu: float, p: float, epsilon: float, T: float) -> float:
+    """``contraction_window`` with ||L||_r taken from norm_of(r)."""
     e1 = 1.0 - (1.0 + epsilon) * (1.0 - nu)
     if e1 <= 0.0:
         raise HypothesisError(
             f"(1+epsilon)(1-nu) must stay below 1; epsilon={epsilon}, nu={nu}"
         )
     _, r = _norm_exponent(p, epsilon)
-    norm = lp_norm(L, r)
+    norm = norm_of(r)
     if not math.isfinite(norm):
         raise HypothesisError(f"||L|| with exponent {r} is not finite")
     if 2.0 * (T**e1 / e1) ** (1.0 / (1.0 + epsilon)) * norm <= 0.99:
@@ -226,7 +237,8 @@ def choose_epsilon(
     Case 1 (p > 1/(1-nu)): scan epsilon in (0, nu/(1-nu)).
     Case 2 (1 < p <= 1/(1-nu)): scan epsilon in (0, p-1).
     Case 3 (p = 1): epsilon = 0 and the sup norm of L.
-    Returns (epsilon, q, case_id).
+    Returns (epsilon, q, case_id).  |L|, its max and the trapezoid weights
+    are found once per scan, not once per candidate.
     """
     if p < 1.0:
         raise HypothesisError(f"p must be >= 1, got {p}")
@@ -238,11 +250,12 @@ def choose_epsilon(
         hi, case = nu / (1.0 - nu), 1
     else:
         hi, case = p - 1.0, 2
+    norm_of = _lp_norm_at(L)
     best = None
     for k in range(1, 21):
         eps = hi * k / 21.0
         try:
-            delta = contraction_window(L, nu, p, eps, T)
+            delta = _contraction_window(norm_of, nu, p, eps, T)
         except HypothesisError:
             continue
         if best is None or delta > best[1]:
@@ -342,47 +355,100 @@ class _KappaDifference:
         return np.abs(d) if self.eng1.ndim == 1 else np.linalg.norm(d, axis=-1)
 
 
-def _block_sum(g, i0: int, i1: int, lo: int, hi: int) -> np.ndarray:
+def _weighted_rows(w: np.ndarray, vals: np.ndarray, r0: int, lo: int, ndim: int) -> np.ndarray:
+    """Row sums of the weight block w (rows r0.., columns lo..) against kappa values.
+
+    An s-shaped answer (``vals.ndim == ndim``) serves every row through one
+    matvec; an answer with a row axis is summed row by row (einsum).  Pairs
+    above the diagonal (s_j > t_i) carry zero weight, but 0 * nan is nan: a
+    non-finite answer is masked there, so a kernel may be undefined at s > t,
+    and a nan at s_j still makes every row i >= j non-finite.
+    """
+    per_row = vals.ndim > ndim
+    if not np.all(np.isfinite(vals)):
+        keep = np.arange(lo, lo + w.shape[1]) <= np.arange(r0, r0 + len(w))[:, None]
+        vals = np.where(keep.reshape(keep.shape + (1,) * (ndim - 1)), vals, 0.0)
+        per_row = True
+    return np.einsum("rc,rc...->r...", w, vals) if per_row else w @ vals
+
+
+def _split_cell(g, acc: np.ndarray, r0: int, r1: int, lo: int, vals: np.ndarray) -> None:
+    """Give rows r0..r1 (sums acc, kappa values vals on columns lo..) the s = h split.
+
+    Every row i >= m (s_m = h) replaces its node-m term by the split-cell
+    value, so that the piecewise-linear moments see one-sided limits; the
+    left limit costs one kappa call.
+    """
+    m = g.m
+    k = max(m - r0, 0)  # the first row that reaches node m
+    left = g.values(slice(r0 + k, r1 + 1), slice(m, m + 1), left_limit=True)
+    left = left[:, 0] if left.ndim > g.ndim else left[0]
+    right = vals[k:, m - lo] if vals.ndim > g.ndim else vals[m - lo]
+    wr = g.weights.w_right[r0 + k - m + 1 : r1 - m + 2]
+    acc[k:] += wr.reshape((-1,) + (1,) * (acc.ndim - 1)) * (left - right)
+
+
+def _block_sum(
+    g, i0: int, i1: int, lo: int, hi: int, wblock: np.ndarray | None = None
+) -> np.ndarray:
     """Rows i0..i1 of sum_{lo <= j <= min(hi, i)} w[i][j] g(t_i, s_j), s = h cell split.
 
-    The rows go to g in blocks of at most ``_PAIR_BUDGET`` (t, s) pairs, one
-    kappa call per block.  An s-shaped answer serves every row of the block
-    through one matvec with the weight block; an answer with a row axis is
-    summed row by row (einsum).  Pairs above the diagonal (s_j > t_i) carry
-    zero weight, but 0 * nan is nan: a non-finite answer is masked there, so
-    a kernel may be undefined at s > t, and a nan at s_j still makes every
-    row i >= j non-finite.
+    The rows go to g in blocks of at most ``_PAIR_BUDGET`` (t, s) pairs.  The
+    first block's kappa call says which of three paths sums them:
 
-    When the delayed trace jumps, every row i >= m (s_m = h) of a block whose
-    columns hold node m replaces the node-m term by its split-cell value, so
-    that the piecewise-linear moments see one-sided limits; the left limit
-    costs one more kappa call per block.  The corrected row equals the
-    shifted-horizon discretization of the delayed term, which the comparison
-    operators use.  This is the only place the split is made.
+    * an answer with a row axis (kappa reads t): one kappa call and one
+      weight block per row block, summed row by row;
+    * an s-shaped answer (kappa ignores t) serves every row of the call: the
+      columns the first block did not reach take one more call (none if there
+      are none).  A full prefix (lo = 0, hi >= i1) is then summed as one
+      lower-triangular Toeplitz product by FFT (``apply_horizon``);
+    * otherwise the s-shaped answer goes through one matvec per row block.
+
+    A non-finite s-shaped answer also takes the blocked path, where
+    ``_weighted_rows`` masks it above the diagonal.  The weight blocks come
+    from ``SingularWeights.block``, or are cut from wblock, the weights of
+    rows i0.. and columns lo.. already built by the caller (valid for any
+    i0 = lo > 0, where the weights depend on i - j alone).
+
+    When the delayed trace jumps, rows i >= m of a sum whose columns hold
+    node m get the split-cell correction of ``_split_cell``: once per call for
+    an s-shaped answer, once per row block otherwise.  The corrected row
+    equals the shifted-horizon discretization of the delayed term, which the
+    comparison operators use.  This is the only place the split is made.
     """
-    step = max(1, _PAIR_BUDGET // (min(hi, i1) - lo + 1))
-    out = []
-    for r0 in range(i0, i1 + 1, step):
-        r1 = min(r0 + step, i1 + 1) - 1
-        c1 = min(hi, r1)
-        vals = g.values(slice(r0, r1 + 1), slice(lo, c1 + 1))
-        w = g.weights.block(r0, r1, lo, c1)
-        per_row = vals.ndim > g.ndim
-        if not np.all(np.isfinite(vals)):
-            keep = np.arange(lo, c1 + 1) <= np.arange(r0, r1 + 1)[:, None]
-            vals = np.where(keep.reshape(keep.shape + (1,) * (g.ndim - 1)), vals, 0.0)
-            per_row = True
-        acc = np.einsum("rc,rc...->r...", w, vals) if per_row else w @ vals
-        m = g.m
-        if g.jumps and lo <= m <= c1:
-            k = max(m - r0, 0)  # the first row of the block that reaches node m
-            left = g.values(slice(r0 + k, r1 + 1), slice(m, m + 1), left_limit=True)
-            left = left[:, 0] if left.ndim > g.ndim else left[0]
-            right = vals[k:, m - lo] if per_row else vals[m - lo]
-            wr = g.weights.w_right[r0 + k - m + 1 : r1 - m + 2]
-            acc[k:] += wr.reshape((-1,) + (1,) * (acc.ndim - 1)) * (left - right)
-        out.append(acc)
-    return np.concatenate(out)
+    width = min(hi, i1) - lo + 1
+    step = max(1, _PAIR_BUDGET // width)
+    blocks = [(r0, min(r0 + step, i1 + 1) - 1) for r0 in range(i0, i1 + 1, step)]
+    r0, r1 = blocks[0]
+    vals = g.values(slice(r0, r1 + 1), slice(lo, min(hi, r1) + 1))
+    s_shaped = vals.ndim == g.ndim
+    if s_shaped and len(vals) < width:
+        rest = g.values(slice(r0, r1 + 1), slice(lo + len(vals), lo + width))
+        vals = np.concatenate([vals, rest])
+    split = g.jumps and lo <= g.m < lo + width
+    if s_shaped and lo == 0 and width == i1 + 1 and np.all(np.isfinite(vals)):
+        acc = g.weights.apply_horizon(vals)[i0:]
+    else:
+        out = []
+        for r0, r1 in blocks:
+            c1 = min(hi, r1)
+            if s_shaped:
+                v = vals[: c1 - lo + 1]
+            elif r0 > i0:
+                v = g.values(slice(r0, r1 + 1), slice(lo, c1 + 1))
+            else:
+                v = vals
+            if wblock is None:
+                w = g.weights.block(r0, r1, lo, c1)
+            else:
+                w = wblock[r0 - i0 : r1 - i0 + 1, : c1 - lo + 1]
+            out.append(_weighted_rows(w, v, r0, lo, g.ndim))
+            if split and not s_shaped and g.m <= c1:
+                _split_cell(g, out[-1], r0, r1, lo, v)
+        acc = np.concatenate(out)
+    if split and s_shaped:
+        _split_cell(g, acc, i0, i1, lo, vals)
+    return acc
 
 
 def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> GridFunction:
@@ -392,13 +458,16 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
     iterated with the already-solved history frozen, until the sup-norm
     increment falls below picard_tol relative to the iterate size.  A window
     holds at most ``_WINDOW_NODES`` nodes, which refines the certified window
-    and never hurts.
+    and never hurts.  The in-window weights depend on i - j alone, so one
+    block serves every sweep of every window (the last, shorter window takes
+    its top-left corner).
     """
     cfg = config if config is not None else SolverConfig.auto(prob)
     spec = prob.spec
     delta = cfg.delta
-    # a forced delta waives the certificate, so its hypotheses go unchecked
-    if delta is None or not cfg.force_delta:
+    # auto's delta is the certified window; a forced delta waives the
+    # certificate, so its hypotheses go unchecked
+    if config is not None and (delta is None or not cfg.force_delta):
         certified = contraction_window(
             prob.kernel.L, prob.nu, prob.p, cfg.epsilon, spec.t_end
         )
@@ -409,20 +478,22 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
                 f"delta={delta} exceeds the certified window {certified}; "
                 "set force_delta=True to override"
             )
-    step = max(1, min(int(delta / spec.dt), _WINDOW_NODES))
-
     n = spec.n_points
+    step = max(1, min(int(delta / spec.dt), _WINDOW_NODES, n))
     zeta = prob.zeta.horizon_values
     engine = _RowEngine(prob).load(zeta)
+    window_weights = prob.weights.block(1, step, 1, step)
 
     for w_idx, lo in enumerate(range(0, n, step)):
         hi = min(lo + step, n)
         frozen = zeta[lo + 1 : hi + 1] + _block_sum(engine, lo + 1, hi, 0, lo)
         increments = []
         for _ in range(cfg.max_iter):
-            new_seg = frozen + _block_sum(engine, lo + 1, hi, lo + 1, hi)
-            bad_rows = ~np.isfinite(new_seg.reshape(len(new_seg), -1)).all(axis=1)
-            if bad_rows.any():
+            new_seg = frozen + _block_sum(engine, lo + 1, hi, lo + 1, hi, window_weights)
+            # nan and inf both make the increment non-finite: one test per sweep
+            inc = float(np.max(np.abs(new_seg - engine.z[lo + 1 : hi + 1])))
+            if not math.isfinite(inc):
+                bad_rows = ~np.isfinite(new_seg.reshape(len(new_seg), -1)).all(axis=1)
                 i_bad = lo + 1 + int(np.argmax(bad_rows))
                 t_bad = float(engine.t[i_bad])
                 s_bad = engine.locate_bad_eval(i_bad)
@@ -431,7 +502,6 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
                     t=t_bad,
                     s=s_bad,
                 )
-            inc = float(np.max(np.abs(new_seg - engine.z[lo + 1 : hi + 1])))
             engine.store(lo + 1, new_seg)
             increments.append(inc)
             scale = 1.0 + float(np.max(np.abs(new_seg)))

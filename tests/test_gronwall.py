@@ -335,6 +335,63 @@ def test_lemma_row_max_peaks_below_one_dense_array():
     assert peak < dense_bytes
 
 
+def _full_horizon_steps_curve(problem, weights, K_lemma, dense=None):
+    """The method-of-steps curve recomputed on the whole horizon in every window.
+
+    With the FFT convolutions the round-off of the late, large values reaches
+    the early nodes.  With dense rows (``dense``, the weight matrix) each node
+    sums only its own row, so the curve is the accurate reference.
+    """
+    m, n = problem.spec.delay_steps, problem.spec.n_points
+    L = problem.L.horizon_values
+    cur = problem.theta
+    for _ in range(problem.n_delay_intervals + 1):
+        if dense is None:
+            lag = delayed_product_convolution(problem.L, cur, weights)
+        else:
+            g = np.zeros(n + 1)
+            g[m:] = dense[: n + 1 - m, : n + 1 - m] @ (L[m:] * cur.horizon_values[: n + 1 - m])
+            lag = GridFunction.from_horizon_values(problem.spec, g)
+        forcing = problem.theta + lag
+        if dense is None:
+            conv = singular_convolution(problem.L * forcing, weights)
+        else:
+            conv = GridFunction.from_horizon_values(
+                problem.spec, dense @ (L * forcing.horizon_values)
+            )
+        cur = forcing + K_lemma * conv
+    return cur
+
+
+def test_steps_curve_keeps_late_round_off_out_of_early_windows(monkeypatch, rng):
+    # at nu = 0.4 the curve climbs to about 1e17 by T; on the first window the
+    # fold excess / gain is K_lemma exactly in exact arithmetic
+    from delvol import gronwall
+
+    spec = GridSpec(t_end=1.0, n_points=2048, h=0.25)
+    t = spec.times[spec.delay_steps :]
+    L = GridFunction.from_horizon_values(
+        spec, np.interp(t, (0.0, 0.3, 0.7, 1.0), (1.0, 0.5, 1.5, 0.8))
+    )
+    prob = make_problem(L, random_piecewise_linear(rng, spec), 0.4, 5.0)
+    consts = gronwall._constants(prob)
+    assert consts.K_steps[-1] > 1e12
+    assert abs(consts.K_steps[0] - consts.K_lemma) <= 1e-10 * consts.K_lemma
+    dense = prob.weights.matrix()
+    monkeypatch.setattr(
+        gronwall, "_steps_curve",
+        lambda p, w, K: _full_horizon_steps_curve(p, w, K, dense),
+    )
+    ref = gronwall._constants(prob)
+    for got, want in zip(consts.K_steps, ref.K_steps):
+        assert abs(got - want) <= 1e-12 * want
+    assert abs(consts.K_recommended - ref.K_recommended) <= 1e-12 * ref.K_recommended
+    # the whole-horizon FFT curve leaks into the first window
+    monkeypatch.setattr(gronwall, "_steps_curve", _full_horizon_steps_curve)
+    leaky = gronwall._constants(prob)
+    assert abs(leaky.K_steps[0] - leaky.K_lemma) > 1e-3 * leaky.K_lemma
+
+
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_oracle_is_monotone_and_below_the_certified_bound(data):

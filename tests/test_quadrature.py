@@ -215,3 +215,16 @@ def test_matrix_consistent_with_apply(rng):
     dense = W.matrix() @ f.horizon_values
     fast = W.apply_horizon(f.horizon_values)
     assert np.allclose(dense, fast, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("size", [1, 2, 17, 49])
+def test_apply_horizon_prefix_is_the_leading_rows(rng, size):
+    # a prefix f[0..k] gives the first k + 1 rows of the full product
+    spec = GridSpec(t_end=1.0, n_points=48)
+    W = build_singular_weights(spec, 0.35)
+    f = random_piecewise_linear(rng, spec).horizon_values[:size]
+    dense = W.matrix()[:size, :size] @ f
+    assert np.allclose(W.apply_horizon(f), dense, rtol=1e-13, atol=1e-15)
+    vec = np.column_stack([f, 2.0 * f])
+    both = np.column_stack([dense, 2.0 * dense])
+    assert np.allclose(W.apply_horizon(vec), both, rtol=1e-13, atol=1e-15)

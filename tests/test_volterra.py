@@ -643,10 +643,12 @@ def per_row_operator(prob, z):
     out = prob.zeta.horizon_values.astype(float)
     for i in range(1, n + 1):
         vals = np.asarray(kappa(t[i], t[: i + 1], zv[: i + 1], zh[: i + 1], u[: i + 1]))
+        vals = np.broadcast_to(vals, zv[: i + 1].shape)  # a scalar answer serves every s
         acc = dense[i, : i + 1] @ vals
         if 0 < m <= i and np.any(zv[0] != 0.0):
             js = slice(m, m + 1)
-            left = np.asarray(kappa(t[i], t[js], zv[js], 0.0 * zh[js], u[js]))[0]
+            left = kappa(t[i], t[js], zv[js], 0.0 * zh[js], u[js])
+            left = np.broadcast_to(left, zv[js].shape)[0]
             acc = acc + W.w_right[i - m + 1] * (left - vals[m])
         out[i] += acc
     return out
@@ -785,3 +787,182 @@ def test_scalar_and_row_column_answers_broadcast():
         prob = make_problem(spec, kernel, zeta_val=0.0)
         got = apply_state_operator(prob, prob.zeta).horizon_values
         np.testing.assert_allclose(got, 2.0 * t**0.5 / 0.5, rtol=1e-12, atol=1e-15)
+
+
+# -- t-free kernels: one evaluation, Toeplitz sums -------------------------------
+
+
+def _t_free_problem(kappa, dim=1, n_points=384, h=0.25):
+    """A problem whose kernel ignores t, with z(0) != 0 so that the lag jumps."""
+    spec = GridSpec(t_end=1.0, n_points=n_points, h=h)
+    kernel = GeneratorKernel(
+        kappa=kappa,
+        L0=GridFunction.constant(spec, 2.0),
+        L=GridFunction.constant(spec, 1.0),
+        u0=np.zeros(1),
+        dim_state=dim,
+    )
+    cols = [_wavy(spec, 1.0).values, _wavy(spec, -0.5).values][:dim]
+    zeta = GridFunction(spec, cols[0] if dim == 1 else np.column_stack(cols))
+    return VolterraProblem(
+        zeta=zeta, kernel=kernel, control=GridFunction.zeros(spec),
+        nu=0.4, h=h, p=4.0, spec=spec,
+    )
+
+
+def _sine_lag(t, s, xi, xi_h, u):
+    return np.sin(np.asarray(xi, dtype=float)) + 0.5 * np.asarray(xi_h, dtype=float)
+
+
+def _vector_lag(t, s, xi, xi_h, u):
+    xi, xi_h = np.asarray(xi, dtype=float), np.asarray(xi_h, dtype=float)
+    return xi * np.array([1.0, 0.5]) + np.cos(s)[:, None] * xi_h[:, ::-1]
+
+
+def _constant_answer(t, s, xi, xi_h, u):
+    return 2.0
+
+
+_NAN_NODE = 200
+
+
+def _nan_at_one_node(t, s, xi, xi_h, u):
+    out = np.asarray(xi, dtype=float) + np.asarray(xi_h, dtype=float)
+    return np.where(np.isclose(s, _NAN_NODE / 384.0, rtol=0.0, atol=1e-12), np.nan, out)
+
+
+@pytest.mark.parametrize(
+    "kappa, dim, budget, fft",
+    [
+        (_sine_lag, 1, None, True),
+        (_vector_lag, 2, None, True),
+        (_constant_answer, 1, None, True),
+        (_sine_lag, 1, 97, True),
+        (_nan_at_one_node, 1, None, False),  # a non-finite answer takes the masked path
+    ],
+    ids=["scalar-jump", "vector", "constant", "small-budget", "nan-node"],
+)
+def test_full_horizon_sum_by_fft_matches_per_row_reference(monkeypatch, kappa, dim, budget, fft):
+    import delvol.volterra as volterra
+    from delvol.quadrature import SingularWeights
+
+    if budget is not None:
+        monkeypatch.setattr(volterra, "_PAIR_BUDGET", budget)
+    calls = []
+    real = SingularWeights.apply_horizon
+    monkeypatch.setattr(
+        SingularWeights, "apply_horizon", lambda self, f: calls.append(1) or real(self, f)
+    )
+    prob = _t_free_problem(kappa, dim)
+    z = prob.zeta
+    got = apply_state_operator(prob, z).horizon_values
+    expect = per_row_operator(prob, z)
+    assert bool(calls) == fft
+    if kappa is _nan_at_one_node:
+        # the nan at s_j poisons exactly the rows i >= j
+        bad = ~np.isfinite(got)
+        assert not bad[:_NAN_NODE].any() and bad[_NAN_NODE:].all()
+        assert np.array_equal(bad, ~np.isfinite(expect))
+        got, expect = got[:_NAN_NODE], expect[:_NAN_NODE]
+    err = np.abs(got - expect)
+    assert np.all(err <= 1e-13 * (1.0 + np.max(np.abs(expect))))
+
+
+def test_t_free_history_is_one_kernel_call_per_sum(monkeypatch):
+    # a frozen history far into the horizon spans many row blocks; the
+    # s-shaped answer of the first block serves them all
+    import delvol.volterra as volterra
+
+    monkeypatch.setattr(volterra, "_PAIR_BUDGET", 1000)
+    calls = []
+    prob = _t_free_problem(lambda *args: calls.append(1) or _sine_lag(*args))
+    engine = volterra._RowEngine(prob).load(prob.zeta.horizon_values)
+    assert engine.jumps
+    lo, hi = 300, 360  # 301 columns: 3 rows per block, 20 blocks
+    got = volterra._block_sum(engine, lo + 1, hi, 0, lo)
+    assert len(calls) == 2  # the answer plus the left limit at s = h
+    dense = prob.weights.matrix()
+    W, m = prob.weights, prob.spec.delay_steps
+    vals = _sine_lag(None, engine.t, engine.z, engine.state[: len(engine.z)], None)
+    left = _sine_lag(None, engine.t[m], engine.z[m], 0.0, None)
+    expect = dense[lo + 1 : hi + 1, : lo + 1] @ vals[: lo + 1]
+    expect += W.w_right[lo + 1 - m + 1 : hi - m + 2] * (left - vals[m])
+    assert np.max(np.abs(got - expect)) <= 1e-13 * (1.0 + np.max(np.abs(expect)))
+    calls.clear()
+    apply_state_operator(prob, prob.zeta)
+    assert len(calls) == 3  # the first row block, the columns it missed, the left limit
+
+
+def test_picard_builds_one_window_block_per_window(monkeypatch):
+    # the in-window weights are one Toeplitz block shared by every sweep
+    import delvol.volterra as volterra
+    from delvol.quadrature import SingularWeights
+
+    blocks, starts = [], []
+    real_block = SingularWeights.block
+    monkeypatch.setattr(
+        SingularWeights, "block", lambda self, *a: blocks.append(a) or real_block(self, *a)
+    )
+    real_store = volterra._RowEngine.store
+    monkeypatch.setattr(
+        volterra._RowEngine, "store",
+        lambda self, start, seg: starts.append(start) or real_store(self, start, seg),
+    )
+    spec = GridSpec(t_end=1.0, n_points=120, h=0.25)
+    prob = make_problem(spec, linear_kernel(spec, c1=0.5, c2=1.0))
+    picard_solve(prob, SolverConfig(delta=16 * spec.dt, force_delta=True))
+    sweeps = len(starts) - 1  # the first store is the initial load
+    windows = len(set(starts[1:]))
+    assert windows == 8  # the last of them holds 8 nodes, not 16
+    assert len(blocks) == windows + 1  # one frozen history each, one shared window block
+    assert sweeps > 2 * len(blocks)
+
+
+def test_picard_window_block_keeps_solutions_of_per_window_blocks(monkeypatch):
+    # the shared block's corner serves the short last window; a fresh block per
+    # sweep (the reference) gives the same solution bit for bit
+    import delvol.volterra as volterra
+
+    spec = GridSpec(t_end=1.0, n_points=120, h=0.25)
+    zeta = GridFunction.from_callable(spec, lambda t: 1.0 + np.sin(4.0 * t))
+    prob = make_problem(spec, linear_kernel(spec, c1=0.5, c2=1.0), zeta=zeta)
+    cfg = SolverConfig(delta=16 * spec.dt, force_delta=True)
+    xi = picard_solve(prob, cfg)
+    real = volterra._block_sum
+    monkeypatch.setattr(
+        volterra, "_block_sum", lambda g, i0, i1, lo, hi, wblock=None: real(g, i0, i1, lo, hi)
+    )
+    assert np.array_equal(picard_solve(prob, cfg).values, xi.values)
+
+
+def test_auto_config_scans_epsilon_on_one_magnitude_of_L(monkeypatch):
+    # the 20 candidates share |L|; the solve trusts the window its own config chose
+    prob = abel_problem(n_points=128)
+    L = prob.kernel.L
+    seen = []
+    real = GridFunction.magnitude
+    monkeypatch.setattr(
+        GridFunction, "magnitude", lambda self: seen.append(self is L) or real(self)
+    )
+    picard_solve(prob)
+    assert sum(seen) == 2  # the scan and the chosen epsilon's window
+    monkeypatch.undo()
+    cfg = SolverConfig.auto(prob)
+    eps_hi = prob.nu / (1.0 - prob.nu)  # case 1 at p = 4, nu = 1/2
+    candidates = [
+        contraction_window(L, prob.nu, prob.p, eps_hi * k / 21.0, prob.spec.t_end)
+        for k in range(1, 21)
+    ]
+    assert cfg.delta == max(candidates)  # bitwise
+    assert cfg.epsilon == eps_hi * (1 + candidates.index(max(candidates))) / 21.0
+
+
+def test_state_operator_at_two_to_the_sixteen_nodes():
+    # kappa = xi on z = 1: rows sum to t^nu / nu, so the image is 1 + t^nu / nu
+    # (2e9 kernel pairs summed row by row; one FFT here)
+    n, nu = 1 << 16, 0.5
+    spec = GridSpec(t_end=1.0, n_points=n, h=0.25)
+    prob = make_problem(spec, linear_kernel(spec, c1=1.0), nu=nu)
+    got = apply_state_operator(prob, prob.zeta).horizon_values
+    t = spec.times[spec.delay_steps :]
+    np.testing.assert_allclose(got, 1.0 + t**nu / nu, rtol=1e-12, atol=0.0)
