@@ -361,14 +361,12 @@ def _steps_curve(
     the horizon, and so the FFT round-off of a later window, which scales
     with that window's values, never reaches the nodes of an earlier one.
     """
-    m = problem.spec.delay_steps
     L = problem.L.horizon_values
     theta = problem.theta.horizon_values
     cur = theta.copy()
     for lo, hi in _window_ends(problem.spec, problem.n_delay_intervals):
-        forcing = theta[: hi + 1].copy()
-        if hi > m:  # the delayed term: the shifted convolution of L(. + h) cur
-            forcing[m:] += weights.apply_horizon(L[m : hi + 1] * cur[: hi + 1 - m])
+        # the delayed term reads cur on nodes <= hi - m <= lo, all solved
+        forcing = theta[: hi + 1] + weights.apply_delayed(L[: hi + 1], cur[: hi + 1])
         seg = forcing + K_lemma * weights.apply_horizon(L[: hi + 1] * forcing)
         cur[lo + 1 : hi + 1] = seg[lo + 1 :]
     return GridFunction.from_horizon_values(problem.spec, cur)

@@ -13,7 +13,9 @@ out from the stencils.  The lower-triangular Toeplitz product with a horizon
 prefix, ``SingularWeights.apply_horizon``, is the one place that sums by
 convolution: one FFT-based linear convolution with the stencil plus a
 rank-one boundary correction.  Every convolution in the library and the
-full-horizon row sums of the Volterra solver go through it.
+state-operator row sums of the Volterra solver go through it; the delay
+shift s = h + u of a delayed product lives in ``SingularWeights.apply_delayed``
+alone.
 """
 
 from __future__ import annotations
@@ -137,6 +139,23 @@ class SingularWeights:
             [self.apply_horizon(f[:, k]) for k in range(f.shape[1])], axis=1
         )
 
+    def apply_delayed(self, a: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """Rows 0..k of int_0^t a(s) f(s - h) (t - s)^(nu-1) ds from prefixes a, f[0..k].
+
+        Substituting s = h + u turns the integral into the plain convolution
+        of u -> a(u + h) f(u) over [0, t - h]: row i >= m = h/dt is row i - m
+        of ``apply_horizon`` on the shifted horizon, and rows i < m are zero.
+        Row i reads f[0..i - m] only.
+        """
+        m = self.spec.delay_steps
+        size = len(f)
+        g = np.zeros(size)
+        if size > m:
+            prod = np.zeros(size)
+            prod[: size - m] = a[m:size] * f[: size - m]
+            g[m:] = self.apply_horizon(prod)[: size - m]
+        return g
+
 
 def build_singular_weights(spec: GridSpec, nu: float) -> SingularWeights:
     """Exact piecewise-linear product-integration weights for exponent nu."""
@@ -194,20 +213,11 @@ def delayed_product_convolution(
 ) -> GridFunction:
     """Approximation of int_0^t weight_fn(s) f(s - h) (t - s)^(nu-1) ds.
 
-    Substituting s = h + u turns the integral into a plain singular
-    convolution of u -> weight_fn(u + h) f(u) over [0, t - h], evaluated on
-    the shifted horizon with the same stencil.
+    The plain singular convolution of u -> weight_fn(u + h) f(u) over
+    [0, t - h], evaluated on the shifted horizon with the same stencil
+    (``SingularWeights.apply_delayed``).
     """
     _check_same_spec(f, weights)
     _check_same_spec(weight_fn, weights)
-    m = f.spec.delay_steps
-    if m == 0:
-        return singular_convolution(weight_fn * f, weights)
-    n = f.spec.n_points
-    w_shift = weight_fn.horizon_values[m:]
-    prod = np.zeros(n + 1)
-    prod[: n + 1 - m] = w_shift * f.horizon_values[: n + 1 - m]
-    conv = weights.apply_horizon(prod)
-    g = np.zeros(n + 1)
-    g[m:] = conv[:-m]
+    g = weights.apply_delayed(weight_fn.horizon_values, f.horizon_values)
     return GridFunction.from_horizon_values(f.spec, g)

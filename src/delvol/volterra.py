@@ -13,8 +13,8 @@ It sums by one of three paths.  A kernel that reads t is called once per
 block of rows and summed row by row.  A kernel that ignores t (an s-shaped
 answer) is called once per sum, and its values serve every row: through one
 matvec per row block with ``SingularWeights.block``, or, for a full prefix
-(the state operator and the kappa-difference curve), through one
-lower-triangular Toeplitz product by FFT, ``SingularWeights.apply_horizon``.
+of the state operator, through one lower-triangular Toeplitz product by
+FFT, ``SingularWeights.apply_horizon``.
 A Picard solve builds its in-window weight block once.  The generator kappa
 carries its growth and Lipschitz envelopes (L0, L, u0, omega) so the
 well-posedness estimates can be evaluated against the certified comparison
@@ -288,6 +288,8 @@ class _RowEngine:
     ``values`` can also sample under its left limit, the zero prehistory.
     """
 
+    fft_prefix = True  # a full prefix may be summed by FFT (see ``_block_sum``)
+
     def __init__(self, prob: VolterraProblem):
         self.weights = prob.weights
         self.m = prob.spec.delay_steps
@@ -343,6 +345,11 @@ class _RowEngine:
 
 class _KappaDifference:
     """Integrand |kappa(t, s, xi1, ...) - kappa(t, s, xi2, ...)| of two loaded engines."""
+
+    # The curve is a certified forcing: each node must stay a sum of
+    # non-negative terms, exactly 0 where the two problems agree up to t.
+    # FFT round-off scales with the largest (late) value and has either sign.
+    fft_prefix = False
 
     def __init__(self, eng1: _RowEngine, eng2: _RowEngine):
         self.eng1, self.eng2 = eng1, eng2
@@ -400,14 +407,16 @@ def _block_sum(
       weight block per row block, summed row by row;
     * an s-shaped answer (kappa ignores t) serves every row of the call: the
       columns the first block did not reach take one more call (none if there
-      are none).  A full prefix (lo = 0, hi >= i1) is then summed as one
-      lower-triangular Toeplitz product by FFT (``apply_horizon``);
+      are none).  A full prefix (lo = 0, hi >= i1) of an integrand with
+      ``fft_prefix`` set is then summed as one lower-triangular Toeplitz
+      product by FFT (``apply_horizon``); its round-off is about eps times
+      the largest value, of either sign, at every node;
     * otherwise the s-shaped answer goes through one matvec per row block.
 
     A non-finite s-shaped answer also takes the blocked path, where
     ``_weighted_rows`` masks it above the diagonal.  The weight blocks come
     from ``SingularWeights.block``, or are cut from wblock, the weights of
-    rows i0.. and columns lo.. already built by the caller (valid for any
+    rows i0.. and columns lo.. already built by the caller (valid only for
     i0 = lo > 0, where the weights depend on i - j alone).
 
     When the delayed trace jumps, rows i >= m of a sum whose columns hold
@@ -416,6 +425,7 @@ def _block_sum(
     equals the shifted-horizon discretization of the delayed term, which the
     comparison operators use.  This is the only place the split is made.
     """
+    assert wblock is None or i0 == lo > 0, "wblock is cut from the Toeplitz corner"
     width = min(hi, i1) - lo + 1
     step = max(1, _PAIR_BUDGET // width)
     blocks = [(r0, min(r0 + step, i1 + 1) - 1) for r0 in range(i0, i1 + 1, step)]
@@ -426,7 +436,8 @@ def _block_sum(
         rest = g.values(slice(r0, r1 + 1), slice(lo + len(vals), lo + width))
         vals = np.concatenate([vals, rest])
     split = g.jumps and lo <= g.m < lo + width
-    if s_shaped and lo == 0 and width == i1 + 1 and np.all(np.isfinite(vals)):
+    full_prefix = lo == 0 and width == i1 + 1
+    if s_shaped and g.fft_prefix and full_prefix and np.all(np.isfinite(vals)):
         acc = g.weights.apply_horizon(vals)[i0:]
     else:
         out = []
@@ -490,18 +501,21 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
         increments = []
         for _ in range(cfg.max_iter):
             new_seg = frozen + _block_sum(engine, lo + 1, hi, lo + 1, hi, window_weights)
-            # nan and inf both make the increment non-finite: one test per sweep
+            # a non-finite new_seg makes the increment non-finite: one test per
+            # sweep; an increment that overflows from finite values goes on to
+            # the convergence test
             inc = float(np.max(np.abs(new_seg - engine.z[lo + 1 : hi + 1])))
             if not math.isfinite(inc):
                 bad_rows = ~np.isfinite(new_seg.reshape(len(new_seg), -1)).all(axis=1)
-                i_bad = lo + 1 + int(np.argmax(bad_rows))
-                t_bad = float(engine.t[i_bad])
-                s_bad = engine.locate_bad_eval(i_bad)
-                raise EvaluationError(
-                    f"kernel produced a non-finite value at (t, s) = ({t_bad}, {s_bad})",
-                    t=t_bad,
-                    s=s_bad,
-                )
+                if bad_rows.any():
+                    i_bad = lo + 1 + int(np.argmax(bad_rows))
+                    t_bad = float(engine.t[i_bad])
+                    s_bad = engine.locate_bad_eval(i_bad)
+                    raise EvaluationError(
+                        f"kernel produced a non-finite value at (t, s) = ({t_bad}, {s_bad})",
+                        t=t_bad,
+                        s=s_bad,
+                    )
             engine.store(lo + 1, new_seg)
             increments.append(inc)
             scale = 1.0 + float(np.max(np.abs(new_seg)))

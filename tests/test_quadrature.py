@@ -228,3 +228,19 @@ def test_apply_horizon_prefix_is_the_leading_rows(rng, size):
     vec = np.column_stack([f, 2.0 * f])
     both = np.column_stack([dense, 2.0 * dense])
     assert np.allclose(W.apply_horizon(vec), both, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("size", [1, 12, 13, 30, 49])
+@pytest.mark.parametrize("h", [0.0, 0.25])
+def test_apply_delayed_prefix_is_the_leading_rows(rng, size, h):
+    # rows 0..k of the delayed product read only the prefixes a, f[0..k]
+    spec = GridSpec(t_end=1.0, n_points=48, h=h)
+    W = build_singular_weights(spec, 0.35)
+    a = random_piecewise_linear(rng, spec)
+    f = random_piecewise_linear(rng, spec)
+    full = delayed_product_convolution(a, f, W).horizon_values
+    a_pre, f_pre = a.horizon_values[:size], f.horizon_values[:size].copy()
+    f_pre[max(size - spec.delay_steps, 0) :] = np.nan  # nodes no row may read
+    got = W.apply_delayed(a_pre, f_pre)
+    assert np.all(got[: spec.delay_steps] == 0.0)
+    assert np.allclose(got, full[:size], rtol=1e-13, atol=1e-15)

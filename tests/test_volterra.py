@@ -556,6 +556,70 @@ def test_stability_perturbed_control():
     assert certify(dprob).passed
 
 
+def test_stability_controls_that_differ_late_only():
+    # the problems agree on [0, 1/2], so the kappa-difference curve is exactly
+    # 0 there and the certified forcing it feeds stays non-negative
+    spec = GridSpec(t_end=1.0, n_points=512, h=0.5)
+
+    def kappa(t, s, xi, xi_h, u):
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 2:
+            u = u[:, 0]
+        return np.asarray(xi, dtype=float) + u
+
+    kernel = GeneratorKernel(
+        kappa=kappa,
+        L0=GridFunction.constant(spec, 0.0),
+        L=GridFunction.constant(spec, 1.0),
+        u0=np.zeros(1),
+    )
+
+    def build(late):
+        control = GridFunction.from_callable(spec, lambda t: np.where(t > 0.5, late, 0.0))
+        return VolterraProblem(
+            zeta=GridFunction.constant(spec, 1.0),
+            kernel=kernel,
+            control=control,
+            nu=0.5,
+            h=0.5,
+            p=4.0,
+            spec=spec,
+        )
+
+    p1, p2 = build(0.0), build(3.0)
+    xi1, xi2 = picard_solve(p1), picard_solve(p2)
+    curve = difference_forcing(p1, p2, xi1, xi2).horizon_values
+    early = spec.times[spec.delay_steps :] <= 0.5
+    assert np.all(curve[early] == 0.0)
+    assert np.all(curve >= 0.0) and curve.max() > 10.0
+    record = stability_check(p1, p2, xi1, xi2)
+    assert record.passed
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_increment_of_finite_iterates_is_not_an_evaluation_error():
+    # sweep 1 gives xi = c t^nu / nu > 0 and sweep 2 flips its sign: every
+    # iterate is finite, but the increment overflows to inf
+    spec = GridSpec(t_end=1.0, n_points=64)
+    c = 0.48e308
+
+    def kappa(t, s, xi, xi_h, u):
+        return np.where(np.asarray(xi) > 0.0, -c, c)
+
+    kernel = GeneratorKernel(
+        kappa=kappa,
+        L0=GridFunction.constant(spec, c),
+        L=GridFunction.constant(spec, 0.0),
+        u0=np.zeros(1),
+    )
+    prob = make_problem(spec, kernel, zeta_val=0.0)
+    config = SolverConfig(delta=1.0, force_delta=True, max_iter=4)
+    with pytest.raises(ConvergenceError) as err:
+        picard_solve(prob, config)
+    assert math.isfinite(err.value.history[0])
+    assert err.value.history[1:] == [math.inf] * 3
+
+
 def test_evaluation_error_carries_location():
     spec = GridSpec(t_end=1.0, n_points=64)
 
