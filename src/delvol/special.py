@@ -1,8 +1,8 @@
 """Special functions used by the constants and by test oracles.
 
 Self-contained: log-gamma via a Lanczos approximation with fixed published
-coefficients, Beta through it, and the half-order Mittag-Leffler function by
-direct series summation.
+coefficients, Beta through it, and the Mittag-Leffler functions by direct
+series summation.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import math
 
 from .errors import ParameterError
 
-__all__ = ["beta", "log_gamma", "mittag_leffler_half"]
+__all__ = ["beta", "log_gamma", "mittag_leffler", "mittag_leffler_half"]
 
 # Lanczos g=7, 9-term coefficient set (double precision).
 _LANCZOS_G = 7.0
@@ -81,5 +81,24 @@ def mittag_leffler_half(z: float) -> float:
         if not math.isfinite(total):
             return math.inf if z > 0 else math.nan
         if j > hump and abs(even) + abs(odd) < 1e-16 * abs(total):
+            break
+    return total
+
+
+def mittag_leffler(alpha: float, beta: float, z: float) -> float:
+    """E_{alpha,beta}(z) = sum_k z^k / Gamma(alpha k + beta), for alpha, beta > 0.
+
+    Term k is exp(k ln|z| - ln Gamma(alpha k + beta)), signed for z < 0, until
+    one falls below 1e-16 of the sum.  For moderate |z|: past the double range
+    math.exp raises OverflowError, and for z < 0 cancellation costs accuracy.
+    """
+    if not (alpha > 0.0 and beta > 0.0 and math.isfinite(z)):
+        raise ParameterError(f"mittag_leffler needs alpha, beta > 0 and finite z, got {alpha, beta, z}")
+    total = math.exp(-log_gamma(beta))
+    log_z = math.log(abs(z)) if z != 0.0 else -math.inf
+    for k in range(1, _ML_TERM_CAP):
+        term = math.exp(k * log_z - log_gamma(alpha * k + beta))
+        total += -term if z < 0.0 and k % 2 else term
+        if term < 1e-16 * abs(total):
             break
     return total

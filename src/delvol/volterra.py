@@ -5,17 +5,18 @@ Solves
     xi(t) = zeta(t) + int_0^t kappa(t, s, xi(s), xi(s-h), u(s)) (t-s)^(nu-1) ds,
     xi(t) = 0 on [-h, 0],
 
-by Picard iteration over contraction windows.  Every quadrature row sum (the
-frozen history and the in-window part of a Picard sweep, one application of
-the state operator, and the kappa-difference curve of the stability check)
-goes through ``_block_sum``, which also splits the delay jump cell at s = h.
-It sums by one of three paths.  A kernel that reads t is called once per
-block of rows and summed row by row.  A kernel that ignores t (an s-shaped
-answer) is called once per sum, and its values serve every row: through one
-matvec per row block with ``SingularWeights.block``, or, for a full prefix
-of the state operator, through one lower-triangular Toeplitz product by
-FFT, ``SingularWeights.apply_horizon``.
-A Picard solve builds its in-window weight block once.  The generator kappa
+by Picard iteration over contraction windows.  The quadrature row sums (the
+frozen history of a window, one application of the state operator, and the
+kappa-difference curve of the stability check) go through ``_block_sum``,
+which also splits the delay jump cell at s = h.  It sums by one of three
+paths.  A kernel that reads t is called once per block of rows and summed
+row by row.  A kernel that ignores t (an s-shaped answer) is called once per
+sum, and its values serve every row: through one matvec per row block with
+``SingularWeights.block``, or, for a full prefix of the state operator,
+through one lower-triangular Toeplitz product by FFT,
+``SingularWeights.apply_horizon``.  The in-window part of a Picard sweep is
+one row block, so each window prepares it once (``_window_sweep``) against
+the corner of one weight block built per solve.  The generator kappa
 carries its growth and Lipschitz envelopes (L0, L, u0, omega) so the
 well-posedness estimates can be evaluated against the certified comparison
 machinery.
@@ -311,30 +312,40 @@ class _RowEngine:
         """Write seg into the state from node start on."""
         self.z[start : start + len(seg)] = seg
 
-    def values(self, rows: slice, js: slice, left_limit: bool = False) -> np.ndarray:
-        """kappa at t_i (i in rows) and s_j (j in js), in one call.
+    def prepare(self, rows: slice, js: slice, left_limit: bool = False):
+        """The kappa call at t_i (i in rows) and s_j (j in js), ready to repeat.
 
-        t goes in as a column that broadcasts against the s-axis arrays.  The
-        answer is s-shaped when kappa ignores t, else it has a leading row
-        axis (see the module docstring for the contract).
+        t goes in as a column that broadcasts against the s-axis arrays, and
+        the other arguments are views of the state, so each call reads the
+        live iterate.  The answer is s-shaped when kappa ignores t, else it
+        has a leading row axis (see the module docstring for the contract).
         """
-        shape = self.z[js].shape
         t = self.t[rows].reshape((-1,) + (1,) * self.ndim)
         lag = self.state[js] * 0.0 if left_limit else self.state[js]
-        vals = np.asarray(self.kappa(t, self.t[js], self.z[js], lag, self.u[js]), dtype=float)
-        if vals.shape == shape:
-            return vals
-        if vals.ndim == 0:
-            return np.broadcast_to(vals, shape)
+        args = (t, self.t[js], self.z[js], lag, self.u[js])
+        shape = self.z[js].shape
         full = (len(t),) + shape
-        if vals.ndim == len(full):
-            try:
-                return np.broadcast_to(vals, full)
-            except ValueError:
-                pass
-        raise StructuralError(
-            f"kernel answer has shape {vals.shape}; expected {shape}, {full} or a scalar"
-        )
+
+        def call() -> np.ndarray:
+            vals = np.asarray(self.kappa(*args), dtype=float)
+            if vals.shape == shape:
+                return vals
+            if vals.ndim == 0:
+                return np.broadcast_to(vals, shape)
+            if vals.ndim == len(full):
+                try:
+                    return np.broadcast_to(vals, full)
+                except ValueError:
+                    pass
+            raise StructuralError(
+                f"kernel answer has shape {vals.shape}; expected {shape}, {full} or a scalar"
+            )
+
+        return call
+
+    def values(self, rows: slice, js: slice, left_limit: bool = False) -> np.ndarray:
+        """kappa at t_i (i in rows) and s_j (j in js): one ``prepare``d call."""
+        return self.prepare(rows, js, left_limit)()
 
     def locate_bad_eval(self, i: int):
         """Time s of the first non-finite kernel value in row i, if any."""
@@ -372,7 +383,7 @@ def _weighted_rows(w: np.ndarray, vals: np.ndarray, r0: int, lo: int, ndim: int)
     and a nan at s_j still makes every row i >= j non-finite.
     """
     per_row = vals.ndim > ndim
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         keep = np.arange(lo, lo + w.shape[1]) <= np.arange(r0, r0 + len(w))[:, None]
         vals = np.where(keep.reshape(keep.shape + (1,) * (ndim - 1)), vals, 0.0)
         per_row = True
@@ -395,9 +406,7 @@ def _split_cell(g, acc: np.ndarray, r0: int, r1: int, lo: int, vals: np.ndarray)
     acc[k:] += wr.reshape((-1,) + (1,) * (acc.ndim - 1)) * (left - right)
 
 
-def _block_sum(
-    g, i0: int, i1: int, lo: int, hi: int, wblock: np.ndarray | None = None
-) -> np.ndarray:
+def _block_sum(g, i0: int, i1: int, lo: int, hi: int) -> np.ndarray:
     """Rows i0..i1 of sum_{lo <= j <= min(hi, i)} w[i][j] g(t_i, s_j), s = h cell split.
 
     The rows go to g in blocks of at most ``_PAIR_BUDGET`` (t, s) pairs.  The
@@ -415,9 +424,7 @@ def _block_sum(
 
     A non-finite s-shaped answer also takes the blocked path, where
     ``_weighted_rows`` masks it above the diagonal.  The weight blocks come
-    from ``SingularWeights.block``, or are cut from wblock, the weights of
-    rows i0.. and columns lo.. already built by the caller (valid only for
-    i0 = lo > 0, where the weights depend on i - j alone).
+    from ``SingularWeights.block``.
 
     When the delayed trace jumps, rows i >= m of a sum whose columns hold
     node m get the split-cell correction of ``_split_cell``: once per call for
@@ -425,7 +432,6 @@ def _block_sum(
     equals the shifted-horizon discretization of the delayed term, which the
     comparison operators use.  This is the only place the split is made.
     """
-    assert wblock is None or i0 == lo > 0, "wblock is cut from the Toeplitz corner"
     width = min(hi, i1) - lo + 1
     step = max(1, _PAIR_BUDGET // width)
     blocks = [(r0, min(r0 + step, i1 + 1) - 1) for r0 in range(i0, i1 + 1, step)]
@@ -449,17 +455,32 @@ def _block_sum(
                 v = g.values(slice(r0, r1 + 1), slice(lo, c1 + 1))
             else:
                 v = vals
-            if wblock is None:
-                w = g.weights.block(r0, r1, lo, c1)
-            else:
-                w = wblock[r0 - i0 : r1 - i0 + 1, : c1 - lo + 1]
-            out.append(_weighted_rows(w, v, r0, lo, g.ndim))
+            out.append(_weighted_rows(g.weights.block(r0, r1, lo, c1), v, r0, lo, g.ndim))
             if split and not s_shaped and g.m <= c1:
                 _split_cell(g, out[-1], r0, r1, lo, v)
         acc = np.concatenate(out)
     if split and s_shaped:
         _split_cell(g, acc, i0, i1, lo, vals)
     return acc
+
+
+def _window_sweep(g: _RowEngine, i0: int, i1: int, w: np.ndarray):
+    """``_block_sum(g, i0, i1, i0, i1)`` with the weights w, prepared once per window.
+
+    A window fits one kernel call (``_WINDOW_NODES``), so its rows are one
+    block, and its prepared kappa call reads the live iterate.
+    """
+    kappa = g.prepare(slice(i0, i1 + 1), slice(i0, i1 + 1))
+    split = g.jumps and i0 <= g.m <= i1
+
+    def sweep() -> np.ndarray:
+        vals = kappa()
+        acc = _weighted_rows(w, vals, i0, i0, g.ndim)
+        if split:
+            _split_cell(g, acc, i0, i1, i0, vals)
+        return acc
+
+    return sweep
 
 
 def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> GridFunction:
@@ -471,7 +492,8 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
     holds at most ``_WINDOW_NODES`` nodes, which refines the certified window
     and never hurts.  The in-window weights depend on i - j alone, so one
     block serves every sweep of every window (the last, shorter window takes
-    its top-left corner).
+    its top-left corner), and each window prepares its sweep once
+    (``_window_sweep``); the frozen history goes through ``_block_sum``.
     """
     cfg = config if config is not None else SolverConfig.auto(prob)
     spec = prob.spec
@@ -498,13 +520,15 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
     for w_idx, lo in enumerate(range(0, n, step)):
         hi = min(lo + step, n)
         frozen = zeta[lo + 1 : hi + 1] + _block_sum(engine, lo + 1, hi, 0, lo)
+        sweep = _window_sweep(engine, lo + 1, hi, window_weights[: hi - lo, : hi - lo])
+        current = engine.z[lo + 1 : hi + 1]
         increments = []
         for _ in range(cfg.max_iter):
-            new_seg = frozen + _block_sum(engine, lo + 1, hi, lo + 1, hi, window_weights)
+            new_seg = frozen + sweep()
             # a non-finite new_seg makes the increment non-finite: one test per
             # sweep; an increment that overflows from finite values goes on to
             # the convergence test
-            inc = float(np.max(np.abs(new_seg - engine.z[lo + 1 : hi + 1])))
+            inc = float(np.abs(new_seg - current).max())
             if not math.isfinite(inc):
                 bad_rows = ~np.isfinite(new_seg.reshape(len(new_seg), -1)).all(axis=1)
                 if bad_rows.any():
@@ -518,7 +542,7 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
                     )
             engine.store(lo + 1, new_seg)
             increments.append(inc)
-            scale = 1.0 + float(np.max(np.abs(new_seg)))
+            scale = 1.0 + float(np.abs(new_seg).max())
             if inc < cfg.picard_tol * scale:
                 break
         else:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from delvol import ParameterError, beta, log_gamma, mittag_leffler_half
+from delvol import ParameterError, beta, log_gamma, mittag_leffler, mittag_leffler_half
 
 
 def test_log_gamma_values():
@@ -110,3 +110,27 @@ def test_mittag_leffler_domain():
         mittag_leffler_half(31.0)
     with pytest.raises(ParameterError):
         mittag_leffler_half(-30.5)
+
+
+@pytest.mark.parametrize("z", [0.0, 0.3, 1.0, 2.5, 6.0, 14.0, 25.0, -0.5, -2.0])
+def test_general_mittag_leffler_at_half_order(z):
+    # negative z sums an alternating series, which costs digits to cancellation
+    rel = 1e-12 if z >= 0.0 else 1e-13 * math.exp(z * z)
+    assert mittag_leffler(0.5, 1.0, z) == pytest.approx(mittag_leffler_half(z), rel=rel)
+
+
+@pytest.mark.parametrize("z", [0.0, 0.1, 1.0, 3.0, 20.0, 60.0, -1.0, -3.0])
+def test_general_mittag_leffler_at_order_one(z):
+    # E_{1,1} = exp and E_{1,2}(z) = (e^z - 1) / z
+    rel = 1e-13 if z >= 0.0 else 1e-13 * math.exp(2.0 * abs(z))
+    assert mittag_leffler(1.0, 1.0, z) == pytest.approx(math.exp(z), rel=rel)
+    if z != 0.0:
+        assert mittag_leffler(1.0, 2.0, z) == pytest.approx(math.expm1(z) / z, rel=rel)
+
+
+def test_general_mittag_leffler_domain():
+    for args in ((0.0, 1.0, 1.0), (0.5, 0.0, 1.0), (-1.0, 1.0, 1.0), (math.nan, 1.0, 1.0),
+                 (0.5, 1.0, math.nan), (0.5, 1.0, math.inf)):
+        with pytest.raises(ParameterError):
+            mittag_leffler(*args)
+
