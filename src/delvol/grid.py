@@ -35,12 +35,13 @@ class GridSpec:
     h: float = 0.0
 
     def __post_init__(self):
-        if not self.t_end > 0.0:
-            raise ParameterError(f"t_end must be positive, got {self.t_end}")
+        # each comparison is False for nan, so the chains reject it too
+        if not 0.0 < self.t_end < math.inf:
+            raise ParameterError(f"t_end must be finite and positive, got {self.t_end}")
         if self.n_points < 2:
             raise ParameterError(f"n_points must be >= 2, got {self.n_points}")
-        if self.h < 0.0:
-            raise ParameterError(f"delay h must be >= 0, got {self.h}")
+        if not 0.0 <= self.h < math.inf:
+            raise ParameterError(f"delay h must be finite and >= 0, got {self.h}")
         if self.h > 0.0:
             ratio = self.h / self.dt
             if abs(ratio - round(ratio)) > _ALIGN_RTOL * max(1.0, ratio):

@@ -22,6 +22,7 @@ Constant constructions kept separate from the oracle:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,6 +52,18 @@ __all__ = [
 ]
 
 
+def _check_q(q: float, nu: float) -> None:
+    """Reject q unless q * nu lies in (1, inf); nan fails every comparison."""
+    if not 1.0 < q * nu < math.inf:
+        raise HypothesisError(f"requires finite q > 1/nu, got q={q}, nu={nu}")
+
+
+def _check_nonnegative(label: str, value: float) -> None:
+    """Reject a value outside [0, inf); nan fails every comparison."""
+    if not 0.0 <= value < math.inf:
+        raise ParameterError(f"{label} must be finite and >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class GronwallProblem:
     """Data (nu, h, q, L, theta) of the delayed comparison inequality."""
@@ -65,8 +78,7 @@ class GronwallProblem:
     def __post_init__(self):
         if not 0.0 < self.nu < 1.0:
             raise ParameterError(f"nu must lie in (0, 1), got {self.nu}")
-        if self.q * self.nu <= 1.0:
-            raise HypothesisError(f"requires q > 1/nu, got q={self.q}, nu={self.nu}")
+        _check_q(self.q, self.nu)
         if self.L.spec != self.spec or self.theta.spec != self.spec:
             raise StructuralError("L and theta must live on the problem grid")
         if abs(self.h - self.spec.h) > 1e-12 * max(1.0, self.h):
@@ -141,6 +153,8 @@ class BoundReport:
         """
         if tol is None:
             tol = 1e-8 * (1.0 + float(np.max(self.majorant.values)))
+        else:
+            _check_nonnegative("tol", tol)
         return float(np.min(self.margin.values)) >= -tol, tol
 
 
@@ -161,8 +175,7 @@ class CertificationResult:
 
 def step_constant_k1(L: GridFunction, nu: float, q: float) -> float:
     """||L||_q * B((nu q - 1)/(q - 1), (nu q - 1)/(q - 1))^((q-1)/q)."""
-    if q * nu <= 1.0:
-        raise HypothesisError(f"requires q > 1/nu, got q={q}, nu={nu}")
+    _check_q(q, nu)
     arg = (nu * q - 1.0) / (q - 1.0)
     norm = lp_norm(L, q)
     if norm == 0.0:
@@ -284,8 +297,7 @@ def lemma1_constant(
     memory; a diagonal gain >= 1 (the only way the series can diverge on the
     grid) raises ``ConvergenceError``.
     """
-    if q * nu <= 1.0:
-        raise HypothesisError(f"requires q > 1/nu, got q={q}, nu={nu}")
+    _check_q(q, nu)
     spec = spec or L.spec
     if L.spec != spec:
         raise StructuralError("L does not live on the supplied grid")
@@ -301,8 +313,7 @@ def theta_n(problem: GronwallProblem, K: float) -> GridFunction:
     every integral with upper limit <= lower limit taken as 0.  For t <= h the
     stored values are bitwise equal to theta.
     """
-    if K < 0.0:
-        raise ParameterError(f"K must be >= 0, got {K}")
+    _check_nonnegative("K", K)
     spec, weights = problem.spec, problem.weights
     m = spec.delay_steps
     n = problem.n_delay_intervals
@@ -425,6 +436,7 @@ def _build_report(problem: GronwallProblem, K: float, consts: _Constants) -> Bou
 
 def gronwall_bound(problem: GronwallProblem, K: float) -> BoundReport:
     """Evaluate the explicit bound with the supplied K and compare to the oracle."""
+    _check_nonnegative("K", K)
     return _build_report(problem, K, _constants(problem))
 
 
@@ -436,6 +448,8 @@ def certify(problem: GronwallProblem, tol: float | None = None) -> Certification
     the sharp oracle (the exact fixed point from ``resolvent_majorant``) stays
     above -tol; ``BoundReport.verdict`` holds the rule and its default tol.
     """
+    if tol is not None:
+        _check_nonnegative("tol", tol)
     consts = _constants(problem)
     if not consts.fold_feasible:
         raise ConvergenceError(

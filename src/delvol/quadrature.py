@@ -145,14 +145,14 @@ class SingularWeights:
         Substituting s = h + u turns the integral into the plain convolution
         of u -> a(u + h) f(u) over [0, t - h]: row i >= m = h/dt is row i - m
         of ``apply_horizon`` on the shifted horizon, and rows i < m are zero.
-        Row i reads f[0..i - m] only.
+        Row i reads f[0..i - m] only.  A 2-D f is taken column by column.
         """
         m = self.spec.delay_steps
         size = len(f)
-        g = np.zeros(size)
+        g = np.zeros(f.shape)
         if size > m:
-            prod = np.zeros(size)
-            prod[: size - m] = a[m:size] * f[: size - m]
+            prod = np.zeros(f.shape)
+            prod[: size - m] = a[m:size].reshape((-1,) + (1,) * (f.ndim - 1)) * f[: size - m]
             g[m:] = self.apply_horizon(prod)[: size - m]
         return g
 
@@ -196,15 +196,11 @@ def delayed_singular_convolution(
     shifted horizon: the result at t is the plain convolution of f evaluated
     at t - h.  This keeps the scheme exact for piecewise-linear f even though
     f(. - h) jumps at s = h, and is identical to convolving shift_by_delay(f)
-    except for that jump cell.
+    except for that jump cell.  It is ``SingularWeights.apply_delayed`` with
+    a unit weight.
     """
     _check_same_spec(f, weights)
-    m = f.spec.delay_steps
-    if m == 0:
-        return singular_convolution(f, weights)
-    conv = weights.apply_horizon(f.horizon_values)
-    g = np.zeros_like(conv)
-    g[m:] = conv[:-m]
+    g = weights.apply_delayed(np.ones(f.spec.n_points + 1), f.horizon_values)
     return GridFunction.from_horizon_values(f.spec, g)
 
 

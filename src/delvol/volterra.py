@@ -8,18 +8,17 @@ Solves
 by Picard iteration over contraction windows.  The quadrature row sums (the
 frozen history of a window, one application of the state operator, and the
 kappa-difference curve of the stability check) go through ``_block_sum``,
-which also splits the delay jump cell at s = h.  It sums by one of three
-paths.  A kernel that reads t is called once per block of rows and summed
-row by row.  A kernel that ignores t (an s-shaped answer) is called once per
-sum, and its values serve every row: through one matvec per row block with
-``SingularWeights.block``, or, for a full prefix of the state operator,
-through one lower-triangular Toeplitz product by FFT,
-``SingularWeights.apply_horizon``.  The in-window part of a Picard sweep is
-one row block, so each window prepares it once (``_window_sweep``) against
-the corner of one weight block built per solve.  The generator kappa
-carries its growth and Lipschitz envelopes (L0, L, u0, omega) so the
-well-posedness estimates can be evaluated against the certified comparison
-machinery.
+which also splits the delay jump cell at s = h.  One kernel call at the last
+row picks one of two paths.  An s-shaped answer (kappa ignores t) serves
+every row: one matvec per row block with ``SingularWeights.block``, or, for
+a full prefix of the state operator, one lower-triangular Toeplitz product
+by FFT, ``SingularWeights.apply_horizon``.  An answer with a row axis
+(kappa reads t) is called again per block of rows and summed row by row.
+The in-window part of a Picard sweep is one row block, so each window
+prepares it once (``_window_sweep``) against the corner of one weight block
+built per solve.  The generator kappa carries its growth and Lipschitz
+envelopes (L0, L, u0, omega) so the well-posedness estimates can be
+evaluated against the certified comparison machinery.
 
 Kernel contract: ``kappa(t, s, xi, xi_h, u)`` is vectorized.  s, xi, xi_h
 and u are same-length arrays along the s-axis (xi and xi_h are (C, dim) for
@@ -112,8 +111,8 @@ class VolterraProblem:
     def __post_init__(self):
         if not 0.0 < self.nu < 1.0:
             raise ParameterError(f"nu must lie in (0, 1), got {self.nu}")
-        if self.p < 1.0:
-            raise HypothesisError(f"solution exponent p must be >= 1, got {self.p}")
+        if not 1.0 <= self.p < math.inf:  # False for nan too
+            raise HypothesisError(f"solution exponent p must be finite and >= 1, got {self.p}")
         for g, label in (
             (self.zeta, "zeta"),
             (self.control, "control"),
@@ -409,21 +408,19 @@ def _split_cell(g, acc: np.ndarray, r0: int, r1: int, lo: int, vals: np.ndarray)
 def _block_sum(g, i0: int, i1: int, lo: int, hi: int) -> np.ndarray:
     """Rows i0..i1 of sum_{lo <= j <= min(hi, i)} w[i][j] g(t_i, s_j), s = h cell split.
 
-    The rows go to g in blocks of at most ``_PAIR_BUDGET`` (t, s) pairs.  The
-    first block's kappa call says which of three paths sums them:
+    One kappa call at the last row t_{i1}, over every column of the sum (all
+    at s <= t there), picks one of two paths:
 
-    * an answer with a row axis (kappa reads t): one kappa call and one
-      weight block per row block, summed row by row;
-    * an s-shaped answer (kappa ignores t) serves every row of the call: the
-      columns the first block did not reach take one more call (none if there
-      are none).  A full prefix (lo = 0, hi >= i1) of an integrand with
-      ``fft_prefix`` set is then summed as one lower-triangular Toeplitz
-      product by FFT (``apply_horizon``); its round-off is about eps times
-      the largest value, of either sign, at every node;
-    * otherwise the s-shaped answer goes through one matvec per row block.
+    * an s-shaped answer (kappa ignores t) serves every row.  A full prefix
+      (lo = 0, hi >= i1) of an integrand with ``fft_prefix`` set is summed as
+      one lower-triangular Toeplitz product by FFT (``apply_horizon``); its
+      round-off is about eps times the largest value, of either sign, at
+      every node.  Any other sum, or a non-finite answer (``_weighted_rows``
+      masks it above the diagonal), takes one matvec per row block;
+    * an answer with a row axis (kappa reads t) is evaluated again per row
+      block and summed row by row.
 
-    A non-finite s-shaped answer also takes the blocked path, where
-    ``_weighted_rows`` masks it above the diagonal.  The weight blocks come
+    A row block holds at most ``_PAIR_BUDGET`` (t, s) pairs; its weights come
     from ``SingularWeights.block``.
 
     When the delayed trace jumps, rows i >= m of a sum whose columns hold
@@ -433,28 +430,22 @@ def _block_sum(g, i0: int, i1: int, lo: int, hi: int) -> np.ndarray:
     comparison operators use.  This is the only place the split is made.
     """
     width = min(hi, i1) - lo + 1
-    step = max(1, _PAIR_BUDGET // width)
-    blocks = [(r0, min(r0 + step, i1 + 1) - 1) for r0 in range(i0, i1 + 1, step)]
-    r0, r1 = blocks[0]
-    vals = g.values(slice(r0, r1 + 1), slice(lo, min(hi, r1) + 1))
+    vals = g.values(slice(i1, i1 + 1), slice(lo, lo + width))
     s_shaped = vals.ndim == g.ndim
-    if s_shaped and len(vals) < width:
-        rest = g.values(slice(r0, r1 + 1), slice(lo + len(vals), lo + width))
-        vals = np.concatenate([vals, rest])
     split = g.jumps and lo <= g.m < lo + width
     full_prefix = lo == 0 and width == i1 + 1
     if s_shaped and g.fft_prefix and full_prefix and np.all(np.isfinite(vals)):
         acc = g.weights.apply_horizon(vals)[i0:]
     else:
+        step = max(1, _PAIR_BUDGET // width)
         out = []
-        for r0, r1 in blocks:
+        for r0 in range(i0, i1 + 1, step):
+            r1 = min(r0 + step, i1 + 1) - 1
             c1 = min(hi, r1)
             if s_shaped:
                 v = vals[: c1 - lo + 1]
-            elif r0 > i0:
-                v = g.values(slice(r0, r1 + 1), slice(lo, c1 + 1))
             else:
-                v = vals
+                v = g.values(slice(r0, r1 + 1), slice(lo, c1 + 1))
             out.append(_weighted_rows(g.weights.block(r0, r1, lo, c1), v, r0, lo, g.ndim))
             if split and not s_shaped and g.m <= c1:
                 _split_cell(g, out[-1], r0, r1, lo, v)
@@ -583,6 +574,13 @@ def _induced_forcing(prob: VolterraProblem) -> GridFunction:
     return prob.zeta.magnitude() + singular_convolution(drive, prob.weights)
 
 
+def _certified_bound_norm(prob: VolterraProblem, forcing: GridFunction):
+    """||bound||_p on [-h, T], {gronwall_K, certified_margin} of certify(L, forcing, nu, 2/nu)."""
+    cert = certify(GronwallProblem.build(prob.kernel.L, forcing, prob.nu, _default_q(prob.nu)))
+    bound_norm = lp_norm(cert.report.bound, prob.p, window=(prob.spec.t_start, prob.spec.t_end))
+    return bound_norm, {"gronwall_K": cert.report.K, "certified_margin": cert.min_margin}
+
+
 def apriori_check(
     prob: VolterraProblem, xi: GridFunction, K: float | None = None
 ) -> CheckRecord:
@@ -596,17 +594,8 @@ def apriori_check(
     control_norm = lp_norm(prob.control_distance(), prob.p)
     constants = {}
     if K is None:
-        forcing = _induced_forcing(prob)
-        comparison = GronwallProblem.build(
-            prob.kernel.L, forcing, prob.nu, _default_q(prob.nu)
-        )
-        cert = certify(comparison)
-        bound_norm = lp_norm(
-            cert.report.bound, prob.p, window=(prob.spec.t_start, prob.spec.t_end)
-        )
+        bound_norm, constants = _certified_bound_norm(prob, _induced_forcing(prob))
         K = max(0.0, bound_norm - zeta_norm) / (1.0 + control_norm)
-        constants["gronwall_K"] = cert.report.K
-        constants["certified_margin"] = cert.min_margin
     rhs = zeta_norm + K * (1.0 + control_norm)
     constants.update({"K": K, "zeta_norm": zeta_norm, "control_norm": control_norm})
     return CheckRecord(
@@ -697,16 +686,10 @@ def stability_check(
         if brace == 0.0:
             K = 0.0
         else:
-            comparison = GronwallProblem.build(
-                prob1.kernel.L,
-                (prob1.zeta - prob2.zeta).magnitude() + kappa_curve,
-                prob1.nu,
-                _default_q(prob1.nu),
-            )
-            cert = certify(comparison)
-            K = lp_norm(cert.report.bound, prob1.p, window=window) / brace
-            constants["gronwall_K"] = cert.report.K
-            constants["certified_margin"] = cert.min_margin
+            forcing = (prob1.zeta - prob2.zeta).magnitude() + kappa_curve
+            bound_norm, certified = _certified_bound_norm(prob1, forcing)
+            K = bound_norm / brace
+            constants.update(certified)
     rhs = K * brace
     constants["K"] = K
     return CheckRecord(

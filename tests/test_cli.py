@@ -378,6 +378,45 @@ def test_non_finite_solver_value_is_config_error(tmp_path, entries, field):
     assert field in lines[0]
 
 
+SOLVE_LINEAR = SOLVE_SMALL + "problem.kernel = linear(0,1,0)\n"
+
+
+@pytest.mark.parametrize(
+    "text, flags, field",
+    [
+        (SOLVE_LINEAR + "problem.h = nan\n", [], "delay h must be finite"),
+        (SOLVE_LINEAR + "problem.h = inf\n", [], "delay h must be finite"),
+        (SOLVE_LINEAR + "problem.T = inf\n", [], "t_end must be finite"),
+        (SOLVE_LINEAR + "problem.T = nan\n", [], "t_end must be finite"),
+        (SOLVE_LINEAR + "problem.p = nan\n", [], "exponent p must be finite"),
+        (VERIFY_SMALL + "problem.q = nan\n", [], "q=nan"),
+        (VERIFY_SMALL + "problem.q = inf\n", [], "q=inf"),
+        (VERIFY_SMALL + "bound.K = nan\n", [], "K must be finite"),
+        (VERIFY_SMALL + "bound.K = inf\n", [], "K must be finite"),
+        (VERIFY_SMALL + "output.tol = nan\n", [], "tol must be finite"),
+        (VERIFY_SMALL + "output.tol = -1\n", [], "tol must be finite"),
+        (VERIFY_SMALL, ["--tol", "nan"], "tol must be finite"),
+        (VERIFY_SMALL, ["--tol=-1e-3"], "tol must be finite"),
+        (VERIFY_SMALL + "bound.K = 1\n", ["--tol", "inf"], "tol must be finite"),
+    ],
+    ids=[
+        "nan-h", "inf-h", "inf-T", "nan-T", "nan-p", "nan-q", "inf-q", "nan-K", "inf-K",
+        "nan-output.tol", "negative-output.tol", "nan-flag", "negative-flag", "inf-flag-with-K",
+    ],
+)
+def test_non_finite_input_exits_1_naming_its_field(tmp_path, text, flags, field):
+    # each value used to reach a solve, a traceback or exit 3 before it was named
+    cfg = write(tmp_path, "bad.cfg", text)
+    out = tmp_path / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--config", str(cfg), "--out", str(out), *flags])
+    lines = err.getvalue().splitlines()
+    assert code == 1 and len(lines) == 1 and lines[0].startswith("error: 1:")
+    assert field in lines[0]
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv, reason",
     [

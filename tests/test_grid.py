@@ -33,6 +33,15 @@ def test_spec_validation():
     assert spec.times[spec.delay_steps] == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["t_end", "h"])
+def test_spec_rejects_non_finite_before_the_delay_ratio(field, bad):
+    # nan passes a bare `h < 0`, and inf reached round(h / dt) as OverflowError
+    args = {"t_end": 1.0, "n_points": 8, "h": 0.25, field: bad}
+    with pytest.raises(ParameterError, match=f"{field} must be finite"):
+        GridSpec(**args)
+
+
 def test_prehistory_enforced():
     spec = GridSpec(t_end=1.0, n_points=4, h=0.5)
     vals = np.ones(spec.n_nodes)

@@ -65,6 +65,41 @@ def test_problem_validation():
             make_problem(nonfinite, th, nu=0.5, q=4.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_q_is_rejected_by_name(bad):
+    # q * nu <= 1 is False for nan and inf, which then surfaced only later
+    spec = GridSpec(t_end=1.0, n_points=16, h=0.5)
+    L = GridFunction.constant(spec, 1.0)
+    for build in (
+        lambda: make_problem(L, L, nu=0.5, q=bad),
+        lambda: step_constant_k1(L, 0.5, bad),
+        lambda: lemma1_constant(L, 0.5, bad),
+    ):
+        with pytest.raises(HypothesisError, match=f"q={bad}"):
+            build()
+
+
+def _no_constants(problem):
+    raise AssertionError("the argument check must come before the constants")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_bad_K_and_tol_are_rejected_before_the_constants(monkeypatch, bad):
+    import delvol.gronwall as gronwall
+
+    prob = unit_problem(n_points=16)
+    report = gronwall_bound(prob, 1.0)
+    monkeypatch.setattr(gronwall, "_constants", _no_constants)
+    with pytest.raises(ParameterError, match="K must be finite"):
+        gronwall_bound(prob, bad)
+    with pytest.raises(ParameterError, match="tol must be finite"):
+        certify(prob, tol=bad)
+    with pytest.raises(ParameterError, match="tol must be finite"):
+        report.verdict(bad)
+    with pytest.raises(ParameterError, match="K must be finite"):
+        theta_n(prob, bad)
+
+
 def test_step_constant_k1_closed_form():
     spec = GridSpec(t_end=1.0, n_points=256, h=0.5)
     L = GridFunction.constant(spec, 1.0)

@@ -244,3 +244,6 @@ def test_apply_delayed_prefix_is_the_leading_rows(rng, size, h):
     got = W.apply_delayed(a_pre, f_pre)
     assert np.all(got[: spec.delay_steps] == 0.0)
     assert np.allclose(got, full[:size], rtol=1e-13, atol=1e-15)
+    # a 2-D f is taken column by column
+    both = W.apply_delayed(a_pre, np.column_stack([f_pre, 2.0 * f_pre]))
+    assert np.array_equal(both, np.column_stack([got, W.apply_delayed(a_pre, 2.0 * f_pre)]))

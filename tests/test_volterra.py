@@ -156,6 +156,13 @@ def test_solver_config_rejects_non_finite(field, bad):
         SolverConfig(**{field: bad})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_problem_rejects_non_finite_p(bad):
+    spec = GridSpec(t_end=1.0, n_points=16, h=0.25)
+    with pytest.raises(HypothesisError, match="exponent p must be finite"):
+        make_problem(spec, linear_kernel(spec, c1=1.0), p=bad)
+
+
 @pytest.mark.parametrize("delta", [0.0, -0.5])
 def test_solver_config_rejects_non_positive_delta(delta):
     with pytest.raises(ParameterError, match="delta must be finite and > 0"):
@@ -974,7 +981,7 @@ def test_full_horizon_sum_by_fft_matches_per_row_reference(monkeypatch, kappa, d
 
 def test_t_free_history_is_one_kernel_call_per_sum(monkeypatch):
     # a frozen history far into the horizon spans many row blocks; the
-    # s-shaped answer of the first block serves them all
+    # s-shaped answer of the probe at the last row serves them all
     import delvol.volterra as volterra
 
     monkeypatch.setattr(volterra, "_PAIR_BUDGET", 1000)
@@ -994,7 +1001,45 @@ def test_t_free_history_is_one_kernel_call_per_sum(monkeypatch):
     assert np.max(np.abs(got - expect)) <= 1e-13 * (1.0 + np.max(np.abs(expect)))
     calls.clear()
     apply_state_operator(prob, prob.zeta)
-    assert len(calls) == 3  # the first row block, the columns it missed, the left limit
+    assert len(calls) == 2  # the probe at the last row and the left limit at s = h
+
+
+def test_t_dependent_full_prefix_probes_once_then_calls_per_row_block(monkeypatch):
+    # the probe at t_{i1} reads only pairs at s <= t; its row-axis answer sends
+    # the sum to one call per row block, and each block that holds node m adds
+    # one left-limit call for the s = h split
+    import delvol.volterra as volterra
+
+    monkeypatch.setattr(volterra, "_PAIR_BUDGET", 97)
+    calls = []
+
+    def kappa(t, s, xi, xi_h, u):
+        calls.append((np.ravel(t).copy(), np.array(s)))
+        xi, xi_h = np.asarray(xi, dtype=float), np.asarray(xi_h, dtype=float)
+        return np.cos(t - s) * xi_h + (1.0 + t) * xi
+
+    spec = GridSpec(t_end=1.0, n_points=32, h=0.25)
+    kernel = GeneratorKernel(
+        kappa=kappa,
+        L0=GridFunction.constant(spec, 0.0),
+        L=GridFunction.constant(spec, 2.0),
+        u0=np.zeros(1),
+    )
+    prob = make_problem(spec, kernel, zeta=_wavy(spec, 1.0))  # z(0) != 0: the lag jumps
+    got = apply_state_operator(prob, prob.zeta).horizon_values
+    m, t = spec.delay_steps, spec.times[spec.delay_steps :]
+    expect = [(t[32:], t)]  # the probe: the last row over all 33 columns
+    for r0 in range(1, 33, 2):  # 97 // 33 = 2 rows per block
+        expect.append((t[r0 : r0 + 2], t[: r0 + 2]))
+        if r0 + 1 >= m:
+            expect.append((t[max(r0, m) : r0 + 2], t[m : m + 1]))
+    assert len(expect) == 1 + 16 + 13
+    assert len(calls) == len(expect)
+    assert calls[0][1].max() <= calls[0][0].min()
+    for (ct, cs), (et, es) in zip(calls, expect):
+        assert np.array_equal(ct, et) and np.array_equal(cs, es)
+    ref = per_row_operator(prob, prob.zeta)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * (1.0 + np.max(np.abs(ref)))
 
 
 def test_picard_builds_one_window_block_per_window(monkeypatch):
