@@ -25,7 +25,7 @@ from .cases import ExampleParams, blowup_diagnostic
 from .errors import ConvergenceError, DelvolError, EvaluationError
 from .estimates import corollary_check, young_check
 from .grid import GridFunction, GridSpec
-from .gronwall import GronwallProblem, certify, gronwall_bound
+from .gronwall import GronwallProblem, _check_nonnegative, certify, gronwall_bound
 from .reports import CheckRecord
 from .volterra import (
     GeneratorKernel,
@@ -359,6 +359,8 @@ def run(cfg: RunConfig, out_dir: Path, seed: int, tol=None, grid_override=None) 
         prob = build_gronwall_problem(cfg, spec)
         # --tol, else output.tol, else certify's default; 0 means 0
         tol = tol if tol is not None else cfg.get("output.tol", None)
+        if tol is not None:  # before any constant or oracle is built
+            _check_nonnegative("tol", tol)
         K = cfg.get("bound.K", None)
         if K is not None:
             report = gronwall_bound(prob, K)

@@ -251,7 +251,7 @@ def lp_norm(f: GridFunction, p: float, window=None) -> float:
     sup of |f| over the window nodes.  The sum is taken on |f| / max |f|, so a
     large p neither overflows nor underflows.
     """
-    if p != math.inf and p < 1.0:
+    if not 1.0 <= p <= math.inf:  # False for nan
         raise ParameterError(f"exponent p must be >= 1 or inf, got {p}")
     return _lp_norm_at(f, window)(p)
 

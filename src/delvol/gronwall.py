@@ -10,9 +10,15 @@ for a constructively chosen K.  The check compares that curve against the sharp
 oracle: the fixed point of the equality version, whose lower-triangular
 discrete system ``resolvent_majorant`` solves exactly by the method of steps.
 
+Both triangular solves are blocked forward substitutions built from two shared
+pieces: views of one ``SingularWeights.slab`` (a row block of the weights laid
+out once, so every off-diagonal weight block is a zero-copy BLAS operand) and
+the resolvents (I - A1[I, I])^(-1) - I of all diagonal blocks at once, by
+batched recursive doubling (``_diag_resolvents``).  Every term is nonnegative.
+
 Constant constructions kept separate from the oracle:
   * ``lemma1_constant`` dominates the non-delayed resolvent by the first kernel,
-    entrywise on the discretized operators (column-strip forward
+    entrywise on the discretized operators (blocked column-strip forward
     substitution, O(n^3/3) work, O(n b) memory).
   * ``certify`` runs an exact discrete method of steps: per delay window, the
     delayed term is frozen at the previous window's dominating curve and the
@@ -185,15 +191,16 @@ def step_constant_k1(L: GridFunction, nu: float, q: float) -> float:
 
 def comparison_constant(nu: float, nu1: float, T: float) -> float:
     """Smallest C with (t-s)^(nu1-1) <= C (t-s)^(nu-1) for 0 < t-s <= T."""
-    if nu1 <= nu:
+    # each comparison is False for nan, so the chains reject it too
+    if not nu < nu1:
         raise HypothesisError(f"requires nu1 > nu, got nu1={nu1}, nu={nu}")
-    if T <= 0.0:
-        raise ParameterError(f"T must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise ParameterError(f"T must be finite and positive, got {T}")
     return max(T ** (nu1 - nu), 1.0)
 
 
 def _checked_gain(gain: np.ndarray) -> np.ndarray:
-    """Diagonal gains w[i][i] L_i (i >= 1) of the first kernel, checked below 1.
+    """Diagonal gains w[i][i] L_i of the first kernel (0 at i = 0), checked below 1.
 
     A gain >= 1 is exactly when the iterated-kernel series from theta diverges.
     """
@@ -207,32 +214,97 @@ def _checked_gain(gain: np.ndarray) -> np.ndarray:
     return gain
 
 
+# Block heights, powers of two, measured on 2 vCPU: the lemma's BLAS-3 strip
+# updates want tall blocks (n = 2048: 0.15 s at 32, 0.10 s at 128 and 256);
+# the oracle's BLAS-2 matvecs do not, and its diagonal resolvents cost O(n b)
+# memory (n = 2^16: 0.78 s and 80 MB at 32, 0.87 s and 196 MB at 128).
+_STRIP = 128  # row-block height and column-strip width of ``_lemma_row_max``
+_ORACLE_BLOCK = 32  # row-block height of ``resolvent_majorant``
+
+
 def resolvent_majorant(problem: GronwallProblem) -> GridFunction:
     """Fixed point of the equality version, by an exact method of steps.
 
     The discrete system M = theta + A1 M + A2 M is lower triangular with
     diagonal w_right[1] L_i, and on a delay window (lo, hi] the delayed term
     A2 M reads only nodes <= lo.  Each window therefore takes one delayed
-    convolution of the solved prefix and a forward substitution over its
-    nodes.  The fixed point is the limit of the monotone iteration from theta,
-    so it dominates every grid function satisfying the inequality.
+    convolution of the solved prefix and a blocked forward substitution over
+    its nodes: the rows of each row block I of ``_ORACLE_BLOCK`` nodes inside
+    the window take one matvec of a ``SingularWeights.slab`` view against the
+    solved L M (plus the rank-one w_left term of j = 0), and are then solved
+    by one product with I + R[I, I] from ``_diag_resolvents``.  A window that
+    ends inside a block uses the leading or trailing part of that block's
+    resolvent, which is the resolvent of the part.  O(n^2) work in
+    O(n / b) BLAS-2 calls, O(n b) memory.  The fixed point is the limit of
+    the monotone iteration from theta, so it dominates every grid function
+    satisfying the inequality.
     """
     spec, weights = problem.spec, problem.weights
     L = problem.L.horizon_values
     theta = problem.theta.horizon_values
-    pivot = 1.0 - _checked_gain(weights.w_right[1] * L[1:])
-    x = np.zeros(spec.n_points + 1)
+    npts = spec.n_points
+    b = _ORACLE_BLOCK
+    slab = weights.slab(b)
+    diag = _diag_resolvents(L, weights, slab)
+    x = np.zeros(npts + 1)
     x[0] = theta[0]
+    Lx = np.zeros(npts + 1)  # L M on the solved nodes
+    Lx[0] = L[0] * x[0]
     for lo, hi in _window_ends(spec, problem.n_delay_intervals):
         prefix = GridFunction.from_horizon_values(spec, x)
         lag = delayed_product_convolution(problem.L, prefix, weights).horizon_values
-        for i in range(lo + 1, hi + 1):
-            direct = weights.row(i, 0, i - 1) @ (L[:i] * x[:i])
-            x[i] = (theta[i] + lag[i] + direct) / pivot[i - 1]
+        a = lo + 1
+        while a <= hi:
+            r0 = a - a % b
+            e = min(r0 + b, hi + 1)
+            rhs = theta[a:e] + lag[a:e] + weights.w_left[a:e] * Lx[0]
+            rhs += slab[a - r0 : e - r0, npts - r0 + 1 : npts - r0 + a] @ Lx[1:a]
+            R = diag[r0 // b, a - r0 : e - r0, a - r0 : e - r0]
+            x[a:e] = rhs + R @ rhs
+            Lx[a:e] = L[a:e] * x[a:e]
+            a = e
     return GridFunction.from_horizon_values(spec, x)
 
 
-_STRIP = 256  # column-strip width and row-block height of ``_lemma_row_max``
+def _diag_resolvents(L: np.ndarray, weights: SingularWeights, slab: np.ndarray) -> np.ndarray:
+    """R[I, I] = (I - A1[I, I])^(-1) - I of every row block I of b nodes, b = slab rows.
+
+    A1 = w[i][j] L_j.  Its diagonal blocks are one lower-triangular Toeplitz
+    block (the slab's columns n..n+b-1) scaled by L per column, with w_left
+    in column 0 of the first; rows past n get L = 0.  All blocks are solved
+    at once by recursive doubling: from the 1 x 1 resolvents a / (1 - a),
+    each step joins neighbouring diagonal blocks P (top) and Q by
+    R[Q, P] = (I + R[Q, Q]) A1[Q, P] (I + R[P, P]), log2(b) batched matmul
+    steps in all, O(n b^2) work.  Every term is nonnegative, so nothing
+    cancels.  A diagonal gain >= 1 raises ``ConvergenceError``.
+    """
+    npts, b = weights.spec.n_points, slab.shape[0]
+    nb = npts // b + 1
+    Lpad = np.zeros(nb * b)
+    Lpad[: npts + 1] = L
+    # A1[I, I] for every I, overwritten in place: each entry below the
+    # diagonal is read once, by the step that turns it into R
+    R = slab[:, npts : npts + b] * Lpad.reshape(nb, 1, b)
+    head = min(b, npts + 1)
+    R[0, :head, 0] = weights.w_left[:head] * L[0]
+    a = _checked_gain(np.diagonal(R, axis1=1, axis2=2).copy())  # w_right[1] L_i
+    R[:, range(b), range(b)] = a / (1.0 - a)
+    s = 1
+    while s < b:
+        G = _diagonal_groups(R, 2 * s)
+        T = G[..., s:, :s] + G[..., s:, s:] @ G[..., s:, :s]
+        G[..., s:, :s] = T + T @ G[..., :s, :s]
+        s *= 2
+    return R
+
+
+def _diagonal_groups(M: np.ndarray, g: int) -> np.ndarray:
+    """View of the g x g diagonal blocks of each b x b matrix of M, (nb, b/g, g, g)."""
+    nb, b, _ = M.shape
+    s0, s1, s2 = M.strides
+    return np.lib.stride_tricks.as_strided(
+        M, shape=(nb, b // g, g, g), strides=(s0, g * (s1 + s2), s1, s2)
+    )
 
 
 def _ratio_row_max(R: np.ndarray, A1: np.ndarray) -> np.ndarray:
@@ -245,43 +317,45 @@ def _lemma_row_max(L: GridFunction, weights: SingularWeights) -> np.ndarray:
     """Running row max of R/A1 for the first kernel A1 = w[i][j] L_j.
 
     R = (I - A1)^(-1) A1 sums the iterated kernel matrices.  It is found by
-    column-strip forward substitution, O(n^3/3) work, O(n b) memory, with
-    b = ``_STRIP``; R is never formed whole.  First the diagonal block
-    R[I, I] of each row block I is substituted row by row against the pivots
-    1 - w_right[1] L_i.  Then each column strip J = [c0, c0 + b) of R, lower
-    triangular, is walked down its row blocks I = [r0, r1): one BLAS-3 update
-    rhs = A1[I, J] + A1[I, c0:r0] R[c0:r0, J], and R[I, J] = rhs + R[I, I] rhs
-    because (I - A1[I, I])^(-1) = I + R[I, I].  Every term is nonnegative, so
-    nothing cancels.  Only weight blocks of b rows are built, and each
-    finished strip is folded into the running max.  A diagonal gain >= 1
-    raises ``ConvergenceError``.  All zeros when L vanishes, and then no
-    weights are built.
+    blocked column-strip forward substitution, O(n^3/3) work, O(n b)
+    memory, with b = ``_STRIP``; R is never formed whole.  The diagonal
+    blocks R[I, I] of every row block come from ``_diag_resolvents``.  Then
+    each column strip J = [c0, c0 + b) of R, lower triangular, is walked
+    down its row blocks I = [r0, r1): one BLAS-3 update rhs = A1[I, J] +
+    w[I, c0:r0] (L R)[c0:r0, J], with w[I, c0:r0] a view of one
+    ``SingularWeights.slab``, and R[I, J] = rhs + R[I, I] rhs because
+    (I - A1[I, I])^(-1) = I + R[I, I].  L scales the solved rows of the
+    strip, not the weights.  Column 0 of A1 is w_left L_0, set apart from
+    the slab; row 0 of R is zero (so is row 0 of w), so j = 0 adds nothing
+    to a history sum.  Every term is nonnegative, so nothing cancels.  The
+    strip arrays R, L R and A1 share one workspace of 3 (n + 1) b doubles,
+    and each finished strip is folded into the running max.  A diagonal
+    gain >= 1 raises ``ConvergenceError``.  All zeros when L vanishes, and
+    then no weights are laid out.
     """
     if not np.any(L.horizon_values):
         return np.zeros(weights.spec.n_points + 1)
     L = L.horizon_values
-    npts = weights.spec.n_points
-    pivot = np.ones(npts + 1)
-    pivot[1:] -= _checked_gain(weights.w_right[1] * L[1:])
-    diag = []  # R[I, I] of each row block I
-    for r0 in range(0, npts + 1, _STRIP):
-        r1 = min(r0 + _STRIP, npts + 1)
-        A = weights.block(r0, r1 - 1, r0, r1 - 1) * L[r0:r1]
-        R = np.zeros_like(A)
-        for k in range(r1 - r0):
-            R[k] = (A[k] + A[k, :k] @ R[:k]) / pivot[r0 + k]
-        diag.append(R)
+    npts, b = weights.spec.n_points, _STRIP
+    slab = weights.slab(b)
+    diag = _diag_resolvents(L, weights, slab)
+    work = np.empty((3, npts + 1, b))
     out = np.zeros(npts + 1)
-    for c0 in range(0, npts + 1, _STRIP):
-        c1 = min(c0 + _STRIP, npts + 1)
-        S = np.empty((npts + 1 - c0, c1 - c0))  # R[c0:, J]
-        A1 = np.empty_like(S)  # A1[c0:, J]
-        for r0, R in zip(range(c0, npts + 1, _STRIP), diag[c0 // _STRIP :]):
-            r1 = r0 + len(R)
-            blk = weights.block(r0, r1 - 1, c0, r1 - 1) * L[c0:r1]
-            A1[r0 - c0 : r1 - c0] = blk[:, : c1 - c0]
-            rhs = A1[r0 - c0 : r1 - c0] + blk[:, : r0 - c0] @ S[: r0 - c0]
-            S[r0 - c0 : r1 - c0] = rhs + R @ rhs
+    for c0 in range(0, npts + 1, b):
+        c1 = min(c0 + b, npts + 1)
+        S, LS, A1 = (w[: npts + 1 - c0, : c1 - c0] for w in work)  # R, L R, A1 [c0:, J]
+        for r0 in range(c0, npts + 1, b):
+            r1 = min(r0 + b, npts + 1)
+            top, bot, h = r0 - c0, r1 - c0, r1 - r0
+            blk = A1[top:bot]
+            np.multiply(slab[:h, npts - r0 + c0 : npts - r0 + c1], L[c0:c1], out=blk)
+            if c0 == 0:
+                blk[:, 0] = weights.w_left[r0:r1] * L[0]
+            rhs = S[top:bot]
+            np.matmul(slab[:h, npts - r0 + c0 : npts], LS[:top], out=rhs)
+            rhs += blk
+            rhs += diag[r0 // b, :h, :h] @ rhs
+            np.multiply(rhs, L[r0:r1, None], out=LS[top:bot])
         out[c0:] = np.maximum(out[c0:], _ratio_row_max(S, A1))
     return out
 
@@ -293,9 +367,10 @@ def lemma1_constant(
 
     Both sides are the product-integration discretizations, so the ratio is
     stable under grid refinement.  The iterated-kernel series is summed in
-    closed form by column-strip forward substitution, O(n^3/3) work, O(n b)
-    memory; a diagonal gain >= 1 (the only way the series can diverge on the
-    grid) raises ``ConvergenceError``.
+    closed form by blocked column-strip forward substitution
+    (``_lemma_row_max``), O(n^3/3) work, O(n b) memory; a diagonal gain >= 1
+    (the only way the series can diverge on the grid) raises
+    ``ConvergenceError``.
     """
     _check_q(q, nu)
     spec = spec or L.spec

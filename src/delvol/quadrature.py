@@ -8,11 +8,13 @@ piecewise-linear integrands and no kernel value is ever taken at s = t.
 Weights on a uniform grid depend only on the node distance d = i - j, so the
 full lower-triangular array is represented by two stencil vectors:
 ``w_left[d]`` (left endpoint of the cell at distance d) and ``w_right[d]``
-(right endpoint).  ``SingularWeights.block`` is the one place that lays rows
-out from the stencils.  The lower-triangular Toeplitz product with a horizon
-prefix, ``SingularWeights.apply_horizon``, is the one place that sums by
-convolution: one FFT-based linear convolution with the stencil plus a
-rank-one boundary correction.  Every convolution in the library and the
+(right endpoint).  ``SingularWeights.block`` (a fresh block) and
+``SingularWeights.slab`` (a row block whose column slices are every weight
+block of those rows) are the two places that lay rows out from the stencils.
+The lower-triangular Toeplitz product with a horizon prefix,
+``SingularWeights.apply_horizon``, is the one place that sums by convolution:
+one FFT-based linear convolution with the stencil plus a rank-one boundary
+correction.  Every convolution in the library and the
 state-operator row sums of the Volterra solver go through it; the delay
 shift s = h + u of a delayed product lives in ``SingularWeights.apply_delayed``
 alone.
@@ -63,7 +65,10 @@ class SingularWeights:
     """Lower-triangular weights approximating int_0^{t_i} f(s) (t_i - s)^(nu-1) ds.
 
     Stored as distance stencils; ``block(i0, i1, lo, hi)`` materializes a block
-    of the conventional array.  All weights are nonnegative, rows sum to t_i^nu / nu,
+    of the conventional array, and ``slab(b)`` lays out b rows of the stencil
+    once so that any weight block of b rows (column 0 aside) is a zero-copy
+    view of it; the blocked triangular solves of ``gronwall`` read their
+    weights that way.  All weights are nonnegative, rows sum to t_i^nu / nu,
     and first moments match the exact Beta-function value.
     """
 
@@ -110,8 +115,28 @@ class SingularWeights:
             out[:, 0] = self.w_left[i0 : i1 + 1]
         return out
 
+    def slab(self, rows: int) -> np.ndarray:
+        """Toeplitz layout T[r, s] = ``_kernel[r - s + n]``, zero off the stencil.
+
+        T has ``rows`` rows and n + rows columns.  Weights w[i][j] of rows
+        r0 .. r0 + rows - 1 and columns 0 < j <= r0 + rows - 1 are the column
+        slice ``T[:, n - r0 + j]``: every such block of a row block is a
+        zero-copy view with unit column stride, ready for BLAS.  Column
+        j = 0 (w_left, not the stencil) is left to the caller, and so are
+        rows past n.  The result is a fresh array of O(n rows) doubles, not
+        cached: a problem that keeps its weights would keep it too.
+        """
+        n = self.spec.n_points
+        ext = np.zeros(n + 2 * rows - 1)  # the stencil reversed, zero-padded both sides
+        ext[rows - 1 : rows + n] = self._kernel[::-1]
+        window = np.lib.stride_tricks.sliding_window_view(ext, n + rows)
+        return window[::-1].copy()
+
     def row(self, i: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Weights w[i][lo..hi] of the i-th horizon node; hi defaults to i."""
+        """Weights w[i][lo..hi] of the i-th horizon node; hi defaults to i.
+
+        No library code calls it; the tests build reference rows with it.
+        """
         return self.block(i, i, lo, hi)[0]
 
     def matrix(self) -> np.ndarray:

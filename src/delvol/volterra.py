@@ -210,13 +210,18 @@ def contraction_window(
     in closed form: delta = (e1 (0.99 / (2 ||L||))^(1+eps))^(1/e1).  Testing T
     first keeps a tiny ||L|| from overflowing the power.
     """
+    # each comparison is False for nan, so the chains reject it too
+    if not 1.0 <= p < math.inf:
+        raise HypothesisError(f"p must be finite and >= 1, got {p}")
+    if not 0.0 < T < math.inf:
+        raise ParameterError(f"T must be finite and positive, got {T}")
     return _contraction_window(_lp_norm_at(L), nu, p, epsilon, T)
 
 
 def _contraction_window(norm_of, nu: float, p: float, epsilon: float, T: float) -> float:
     """``contraction_window`` with ||L||_r taken from norm_of(r)."""
     e1 = 1.0 - (1.0 + epsilon) * (1.0 - nu)
-    if e1 <= 0.0:
+    if not e1 > 0.0:  # also a nan nu or epsilon
         raise HypothesisError(
             f"(1+epsilon)(1-nu) must stay below 1; epsilon={epsilon}, nu={nu}"
         )
@@ -240,8 +245,8 @@ def choose_epsilon(
     Returns (epsilon, q, case_id).  |L|, its max and the trapezoid weights
     are found once per scan, not once per candidate.
     """
-    if p < 1.0:
-        raise HypothesisError(f"p must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:  # False for nan
+        raise HypothesisError(f"p must be finite and >= 1, got {p}")
     T = spec.t_end
     if abs(p - 1.0) < 1e-12:
         q, _ = _norm_exponent(1.0, 0.0)

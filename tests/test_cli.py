@@ -417,6 +417,25 @@ def test_non_finite_input_exits_1_naming_its_field(tmp_path, text, flags, field)
     assert list(out.iterdir()) == []
 
 
+def test_bound_K_run_checks_tol_before_the_bound(tmp_path, monkeypatch):
+    # the tolerance of a bound.K run used to be checked only by the verdict,
+    # after every constant and the oracle had been built
+    import delvol.cli
+
+    def no_bound(*args):
+        raise AssertionError("tol must be checked before the bound is built")
+
+    monkeypatch.setattr(delvol.cli, "gronwall_bound", no_bound)
+    cfg = write(tmp_path, "k.cfg", VERIFY_SMALL + "bound.K = 1\n")
+    out = tmp_path / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--config", str(cfg), "--out", str(out), "--tol", "inf"])
+    lines = err.getvalue().splitlines()
+    assert code == 1 and len(lines) == 1 and "tol must be finite" in lines[0]
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv, reason",
     [

@@ -71,6 +71,8 @@ def test_lp_norm_window_and_errors():
     assert lp_norm(f, 1, window=(0.0, 0.5)) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ParameterError):
         lp_norm(f, 0.5)
+    with pytest.raises(ParameterError, match="got nan"):
+        lp_norm(f, math.nan)  # used to return 2.0, the sup
     with pytest.raises(DomainError):
         lp_norm(f, 2, window=(0.0, 2.0))
     with pytest.raises(DomainError):

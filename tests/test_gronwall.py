@@ -141,6 +141,17 @@ def test_comparison_constant():
         comparison_constant(0.5, 0.5, 1.0)
 
 
+def test_comparison_constant_rejects_nan():
+    # a nan T used to give C = nan, and a nan nu or nu1 passed the bare
+    # nu1 <= nu check
+    for bad_T in (math.nan, math.inf, 0.0):
+        with pytest.raises(ParameterError, match="T must be finite"):
+            comparison_constant(0.5, 0.7, bad_T)
+    for nu, nu1 in ((0.5, math.nan), (math.nan, 0.7)):
+        with pytest.raises(HypothesisError, match="requires nu1 > nu"):
+            comparison_constant(nu, nu1, 1.0)
+
+
 def test_comparison_constant_dominates_sampled(rng):
     for _ in range(20):
         nu = rng.uniform(0.1, 0.9)
@@ -163,6 +174,22 @@ def test_majorant_mittag_leffler_oracle():
     got = M.at_time(1.0)
     exact = mittag_leffler_half(math.sqrt(math.pi))
     assert got == pytest.approx(exact, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "nu, order, err_4096", [(0.4, 1.25, 3.6e-5), (0.6, 1.5, 9.5e-7), (0.8, 1.65, 4.6e-8)]
+)
+def test_oracle_first_window_converges_to_mittag_leffler(nu, order, err_4096):
+    # for t <= h the delayed term vanishes, so with L = theta = 1 the oracle
+    # solves x = 1 + int_0^t (t-s)^(nu-1) x ds, whose solution is
+    # E_nu(Gamma(nu) t^nu); the observed order is about 1 + nu
+    exact = mittag_leffler(nu, 1.0, math.gamma(nu) * 0.5**nu)
+    errors = []
+    for n in (256, 512, 1024, 2048, 4096):
+        prob = unit_problem(n_points=n, h=0.5, nu=nu, q=2.0 / nu)
+        errors.append(abs(resolvent_majorant(prob).at_time(0.5) - exact) / exact)
+    assert math.log2(errors[-2] / errors[-1]) >= order
+    assert err_4096 / 2.0 <= errors[-1] <= 2.0 * err_4096
 
 
 def test_majorant_delay_inactive_prefix():
@@ -273,6 +300,20 @@ def test_theta_n_against_explicit_row_assembly(rng):
     assert np.allclose(got, expect, rtol=1e-12, atol=1e-13)
 
 
+def _dense_operators(prob):
+    """A1 = w[i][j] L_j and the delayed A2, assembled densely from weight rows."""
+    spec = prob.spec
+    W = build_singular_weights(spec, prob.nu)
+    m, npts = spec.delay_steps, spec.n_points
+    L = prob.L.horizon_values
+    A1 = W.matrix() * L[None, :]
+    A2 = np.zeros_like(A1)
+    for i in range(m + 1, npts + 1):
+        r = i - m
+        A2[i, : r + 1] = W.row(r) * L[m : m + r + 1]
+    return A1, A2
+
+
 def test_majorant_against_direct_linear_solve(rng):
     # the fixed point solves (I - A1 - A2) M = theta; assemble both operators
     # densely and solve directly, then compare with the forward-substitution
@@ -284,14 +325,8 @@ def test_majorant_against_direct_linear_solve(rng):
         0.6,
         4.0,
     )
-    W = build_singular_weights(spec, prob.nu)
-    m, npts = spec.delay_steps, spec.n_points
-    L = prob.L.horizon_values
-    A1 = W.matrix() * L[None, :]
-    A2 = np.zeros_like(A1)
-    for i in range(m + 1, npts + 1):
-        r = i - m
-        A2[i, : r + 1] = W.row(r) * L[m : m + r + 1]
+    npts = spec.n_points
+    A1, A2 = _dense_operators(prob)
     direct = np.linalg.solve(np.eye(npts + 1) - A1 - A2, prob.theta.horizon_values)
     oracle = resolvent_majorant(prob).horizon_values
     scale = 1.0 + np.max(np.abs(direct))
@@ -347,6 +382,45 @@ def test_lemma_row_max_matches_dense_resolvent(n, nu, rng):
     got = _lemma_row_max(L, W)
     assert dense[-1] > 0.0
     assert np.all(np.abs(got - dense) <= 1e-12 * dense)
+
+
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+def test_blocked_lemma_and_oracle_match_dense_at_block_edges(blocks, extra, rng):
+    # n = b - 1, b, b + 1 and 2b + 1 for the lemma's row-block height b, which
+    # the oracle's divides; the delay windows end at node 3b/4 + 4 and its
+    # multiples, inside a row block of either
+    from delvol.gronwall import _ORACLE_BLOCK, _STRIP, _lemma_row_max, _ratio_row_max
+
+    assert _STRIP % _ORACLE_BLOCK == 0
+    n = blocks * _STRIP + extra
+    m = 3 * _STRIP // 4 + 4
+    spec = GridSpec(t_end=1.0, n_points=n, h=m / n)
+    assert spec.delay_steps == m and m % _ORACLE_BLOCK != 0
+    for nu in (0.4, 0.8):
+        prob = make_problem(
+            random_piecewise_linear(rng, spec), random_piecewise_linear(rng, spec, 0.1), nu, 2.0 / nu
+        )
+        A1, A2 = _dense_operators(prob)
+        dense = _ratio_row_max(np.linalg.solve(np.eye(n + 1) - A1, A1), A1)
+        got = _lemma_row_max(prob.L, prob.weights)
+        assert dense[-1] > 0.0
+        assert np.all(np.abs(got - dense) <= 1e-12 * dense)
+        direct = np.linalg.solve(np.eye(n + 1) - A1 - A2, prob.theta.horizon_values)
+        oracle = resolvent_majorant(prob).horizon_values
+        assert np.all(np.abs(oracle - direct) <= 1e-12 * direct)
+
+
+@pytest.mark.parametrize("n, nu", [(64, 0.4), (128, 0.6), (128, 0.8)])
+def test_lemma_constant_is_tight_on_a_dense_reference(n, nu, rng):
+    # K_lemma is the least K with R <= K A1 entrywise: R stays below it up to
+    # the round-off of the dense solve, and some entry exceeds K (1 - 1e-9) A1
+    spec = GridSpec(t_end=1.0, n_points=n, h=0.25)
+    L = random_piecewise_linear(rng, spec)
+    K = lemma1_constant(L, nu, 2.0 / nu)
+    A1 = build_singular_weights(spec, nu).matrix() * L.horizon_values[None, :]
+    R = np.linalg.solve(np.eye(n + 1) - A1, A1)
+    assert np.all(R <= K * (1.0 + 1e-12) * A1)
+    assert np.any(R > K * (1.0 - 1e-9) * A1)
 
 
 def test_lemma_row_max_peaks_below_one_dense_array():

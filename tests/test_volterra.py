@@ -107,6 +107,19 @@ def test_contraction_window_hypothesis():
         contraction_window(L, 0.3, 4.0, 3.0, 1.0)  # (1+eps)(1-nu) >= 1
 
 
+def test_contraction_window_rejects_nan_arguments():
+    # a nan p used to return a window (0.0304 for this L), a nan T nan
+    spec = GridSpec(t_end=1.0, n_points=64)
+    L = GridFunction.constant(spec, 1.0)
+    with pytest.raises(HypothesisError, match="p must be finite"):
+        contraction_window(L, 0.5, math.nan, 0.1, 1.0)
+    with pytest.raises(ParameterError, match="T must be finite"):
+        contraction_window(L, 0.5, 4.0, 0.1, math.nan)
+    for nu, eps in ((math.nan, 0.1), (0.5, math.nan)):
+        with pytest.raises(HypothesisError, match="must stay below 1"):
+            contraction_window(L, nu, 4.0, eps, 1.0)
+
+
 def _bisection_window(norm, nu, epsilon, T):
     """Reference: 200 bisection steps on the monotone gain, as the solver once did."""
     e1 = 1.0 - (1.0 + epsilon) * (1.0 - nu)
@@ -180,6 +193,14 @@ def test_choose_epsilon_cases():
     assert case == 2 and 0.0 < eps < 0.5
     with pytest.raises(HypothesisError):
         choose_epsilon(0.5, 0.5, L, spec)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_choose_epsilon_rejects_non_finite_p(bad):
+    # nan used to fall through to case 2 and return (nan, nan, 2)
+    spec = GridSpec(t_end=1.0, n_points=64)
+    with pytest.raises(HypothesisError, match=f"p must be finite and >= 1, got {bad}"):
+        choose_epsilon(bad, 0.5, GridFunction.constant(spec, 1.0), spec)
 
 
 # -- solver --------------------------------------------------------------------
