@@ -21,7 +21,6 @@ from .quadrature import (
     SingularWeights,
     build_singular_weights,
     delayed_product_convolution,
-    delayed_singular_convolution,
     singular_convolution,
 )
 from .gronwall import (

@@ -94,11 +94,9 @@ def _default_p(params: ExampleParams) -> float:
 
 
 def example_problem(
-    params: ExampleParams, T: float, spec: GridSpec, p: float | None = None
+    params: ExampleParams, spec: GridSpec, p: float | None = None
 ) -> VolterraProblem:
     """Assemble the concrete problem on a grid that excludes the node s = 1."""
-    if abs(spec.t_end - T) > 1e-12 * max(1.0, T):
-        raise ParameterError(f"spec horizon {spec.t_end} differs from T={T}")
     t_pos = spec.times[spec.delay_steps :]
     if np.any(np.abs(t_pos - 1.0) < 0.5 * spec.dt * 1e-6):
         raise ParameterError(
@@ -128,7 +126,7 @@ def example_problem(
     )
     L = GridFunction.from_callable(spec, lambda t: np.abs(t - 1.0) ** (nu - 1.0))
     # t-factor Lipschitz scale: sup over [0, T] of |t+1|^(2 gamma - 2) / 2
-    t_scale = max((1.0 + T) ** (2.0 * gamma - 2.0), 1.0) / 2.0
+    t_scale = max((1.0 + spec.t_end) ** (2.0 * gamma - 2.0), 1.0) / 2.0
     kernel = GeneratorKernel(
         kappa=kappa,
         L0=L0,
@@ -208,7 +206,7 @@ def blowup_diagnostic(
         T = 1.0 - eps
         for n in resolutions:
             spec = GridSpec(t_end=T, n_points=n, h=T)
-            prob = example_problem(params, T, spec)
+            prob = example_problem(params, spec)
             cfg = SolverConfig(delta=T, force_delta=True)
             xi = picard_solve(prob, cfg)
             values[(eps, n)] = float(xi.at_time(T))

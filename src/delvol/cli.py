@@ -248,7 +248,7 @@ def build_volterra_problem(cfg: RunConfig, spec: GridSpec) -> VolterraProblem:
                 "example414 kernel needs example414(nu,beta,delta,sigma,gamma)"
             )
         params = ExampleParams(*(_selector_number(a) for a in args))
-        return example_problem(params, spec.t_end, spec, p=p)
+        return example_problem(params, spec, p=p)
     else:
         raise ConfigError(f"unknown kernel selector {name!r}")
     zeta = build_function(cfg, "problem.zeta", spec)

@@ -250,7 +250,7 @@ def resolvent_majorant(problem: GronwallProblem) -> GridFunction:
     x[0] = theta[0]
     Lx = np.zeros(npts + 1)  # L M on the solved nodes
     Lx[0] = L[0] * x[0]
-    for lo, hi in _window_ends(spec, problem.n_delay_intervals):
+    for lo, hi in _window_ends(spec):
         prefix = GridFunction.from_horizon_values(spec, x)
         lag = delayed_product_convolution(problem.L, prefix, weights).horizon_values
         a = lo + 1
@@ -327,11 +327,12 @@ def _lemma_row_max(L: GridFunction, weights: SingularWeights) -> np.ndarray:
     (I - A1[I, I])^(-1) = I + R[I, I].  L scales the solved rows of the
     strip, not the weights.  Column 0 of A1 is w_left L_0, set apart from
     the slab; row 0 of R is zero (so is row 0 of w), so j = 0 adds nothing
-    to a history sum.  Every term is nonnegative, so nothing cancels.  The
-    strip arrays R, L R and A1 share one workspace of 3 (n + 1) b doubles,
-    and each finished strip is folded into the running max.  A diagonal
-    gain >= 1 raises ``ConvergenceError``.  All zeros when L vanishes, and
-    then no weights are laid out.
+    to a history sum.  Every term is nonnegative, so nothing cancels.  Later
+    blocks read only L R, so it is the one strip kept, (n + 1) b doubles;
+    R[I, J] and A1[I, J] are b x b temporaries whose ratio is folded into
+    the row max as each block is solved.  A diagonal gain >= 1 raises
+    ``ConvergenceError``.  All zeros when L vanishes, and then no weights
+    are laid out.
     """
     if not np.any(L.horizon_values):
         return np.zeros(weights.spec.n_points + 1)
@@ -339,31 +340,29 @@ def _lemma_row_max(L: GridFunction, weights: SingularWeights) -> np.ndarray:
     npts, b = weights.spec.n_points, _STRIP
     slab = weights.slab(b)
     diag = _diag_resolvents(L, weights, slab)
-    work = np.empty((3, npts + 1, b))
+    strip = np.empty((npts + 1, b))
+    work = np.empty((2, b, b))
     out = np.zeros(npts + 1)
     for c0 in range(0, npts + 1, b):
         c1 = min(c0 + b, npts + 1)
-        S, LS, A1 = (w[: npts + 1 - c0, : c1 - c0] for w in work)  # R, L R, A1 [c0:, J]
+        LS = strip[: npts + 1 - c0, : c1 - c0]  # (L R)[c0:, J]
         for r0 in range(c0, npts + 1, b):
             r1 = min(r0 + b, npts + 1)
             top, bot, h = r0 - c0, r1 - c0, r1 - r0
-            blk = A1[top:bot]
+            rhs, blk = (w[:h, : c1 - c0] for w in work)  # R[I, J], A1[I, J]
             np.multiply(slab[:h, npts - r0 + c0 : npts - r0 + c1], L[c0:c1], out=blk)
             if c0 == 0:
                 blk[:, 0] = weights.w_left[r0:r1] * L[0]
-            rhs = S[top:bot]
             np.matmul(slab[:h, npts - r0 + c0 : npts], LS[:top], out=rhs)
             rhs += blk
             rhs += diag[r0 // b, :h, :h] @ rhs
             np.multiply(rhs, L[r0:r1, None], out=LS[top:bot])
-        out[c0:] = np.maximum(out[c0:], _ratio_row_max(S, A1))
-    return out
+            out[r0:r1] = np.maximum(out[r0:r1], _ratio_row_max(rhs, blk))
+    return np.maximum.accumulate(out)
 
 
-def lemma1_constant(
-    L: GridFunction, nu: float, q: float, spec: GridSpec | None = None
-) -> float:
-    """Constant K with resolvent(t_i, t_j) <= K * [first kernel](t_i, t_j).
+def lemma1_constant(L: GridFunction, nu: float, q: float) -> float:
+    """Constant K with resolvent(t_i, t_j) <= K * [first kernel](t_i, t_j) on L's grid.
 
     Both sides are the product-integration discretizations, so the ratio is
     stable under grid refinement.  The iterated-kernel series is summed in
@@ -373,10 +372,7 @@ def lemma1_constant(
     ``ConvergenceError``.
     """
     _check_q(q, nu)
-    spec = spec or L.spec
-    if L.spec != spec:
-        raise StructuralError("L does not live on the supplied grid")
-    return float(_lemma_row_max(L, build_singular_weights(spec, nu))[-1])
+    return float(_lemma_row_max(L, build_singular_weights(L.spec, nu))[-1])
 
 
 def theta_n(problem: GronwallProblem, K: float) -> GridFunction:
@@ -421,17 +417,10 @@ class _Constants:
     fold_feasible: bool
 
 
-def _window_ends(spec: GridSpec, n: int) -> list:
+def _window_ends(spec: GridSpec) -> list:
     """Horizon index ranges ((lo, hi] node blocks) of the delay windows."""
-    m = spec.delay_steps
-    ends = []
-    lo = 0
-    for k in range(n + 1):
-        hi = min((k + 1) * m, spec.n_points)
-        if hi > lo:
-            ends.append((lo, hi))
-            lo = hi
-    return ends
+    m, n = spec.delay_steps, spec.n_points
+    return [(lo, min(lo + m, n)) for lo in range(0, n, m)]
 
 
 def _steps_curve(
@@ -450,7 +439,7 @@ def _steps_curve(
     L = problem.L.horizon_values
     theta = problem.theta.horizon_values
     cur = theta.copy()
-    for lo, hi in _window_ends(problem.spec, problem.n_delay_intervals):
+    for lo, hi in _window_ends(problem.spec):
         # the delayed term reads cur on nodes <= hi - m <= lo, all solved
         forcing = theta[: hi + 1] + weights.apply_delayed(L[: hi + 1], cur[: hi + 1])
         seg = forcing + K_lemma * weights.apply_horizon(L[: hi + 1] * forcing)
@@ -465,10 +454,10 @@ def _constants(problem: GronwallProblem) -> _Constants:
     C = comparison_constant(problem.nu, nu1, spec.t_end)
     K1 = step_constant_k1(problem.L, problem.nu, problem.q)
 
-    windows = _window_ends(spec, n)
+    windows = _window_ends(spec)
     ratio_max = _lemma_row_max(problem.L, weights)
     K_lem_steps = [float(ratio_max[hi]) for _, hi in windows]
-    K_lemma = K_lem_steps[-1] if K_lem_steps else 0.0
+    K_lemma = K_lem_steps[-1]
 
     curve = _steps_curve(problem, weights, K_lemma).horizon_values
     gain = theta_n(problem, 1.0).horizon_values - problem.theta.horizon_values
@@ -484,7 +473,8 @@ def _constants(problem: GronwallProblem) -> _Constants:
         pos = seg_gain > 0.0
         fold = float(np.max(seg_exc[pos] / seg_gain[pos])) if np.any(pos) else 0.0
         K_steps.append(max(K_lem_steps[len(K_steps)], fold))
-    K_rec = max([*K_steps, K1, K_lemma]) if K_steps else max(K1, K_lemma)
+    # K_steps[-1] >= K_lemma, so the lemma constant needs no place of its own
+    K_rec = max(*K_steps, K1)
     return _Constants(
         K_lemma, K1, nu1, C, n, tuple(K_steps), K_rec, fold_feasible
     )

@@ -34,7 +34,6 @@ __all__ = [
     "SingularWeights",
     "build_singular_weights",
     "singular_convolution",
-    "delayed_singular_convolution",
     "delayed_product_convolution",
 ]
 
@@ -132,13 +131,6 @@ class SingularWeights:
         window = np.lib.stride_tricks.sliding_window_view(ext, n + rows)
         return window[::-1].copy()
 
-    def row(self, i: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Weights w[i][lo..hi] of the i-th horizon node; hi defaults to i.
-
-        No library code calls it; the tests build reference rows with it.
-        """
-        return self.block(i, i, lo, hi)[0]
-
     def matrix(self) -> np.ndarray:
         """Dense (n+1) x (n+1) lower-triangular weight array.
 
@@ -209,23 +201,6 @@ def singular_convolution(f: GridFunction, weights: SingularWeights) -> GridFunct
     """g(t_i) = sum_{j<=i} w[i][j] f(t_j) on [0, T]; prehistory zero."""
     _check_same_spec(f, weights)
     g = weights.apply_horizon(f.horizon_values)
-    return GridFunction.from_horizon_values(f.spec, g)
-
-
-def delayed_singular_convolution(
-    f: GridFunction, weights: SingularWeights
-) -> GridFunction:
-    """Approximation of int_0^t f(s - h) (t - s)^(nu-1) ds.
-
-    The delayed integrand vanishes on [0, h), so the quadrature runs on the
-    shifted horizon: the result at t is the plain convolution of f evaluated
-    at t - h.  This keeps the scheme exact for piecewise-linear f even though
-    f(. - h) jumps at s = h, and is identical to convolving shift_by_delay(f)
-    except for that jump cell.  It is ``SingularWeights.apply_delayed`` with
-    a unit weight.
-    """
-    _check_same_spec(f, weights)
-    g = weights.apply_delayed(np.ones(f.spec.n_points + 1), f.horizon_values)
     return GridFunction.from_horizon_values(f.spec, g)
 
 

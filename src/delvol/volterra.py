@@ -177,10 +177,8 @@ class SolverConfig:
 
     @classmethod
     def auto(cls, prob: VolterraProblem, **overrides) -> "SolverConfig":
-        eps, _, _ = choose_epsilon(prob.p, prob.nu, prob.kernel.L, prob.spec)
-        delta = contraction_window(
-            prob.kernel.L, prob.nu, prob.p, eps, prob.spec.t_end
-        )
+        eps, _, _ = choose_epsilon(prob.p, prob.nu, prob.kernel.L)
+        delta = contraction_window(prob.kernel.L, prob.nu, prob.p, eps)
         base = dict(epsilon=eps, delta=delta)
         base.update(overrides)
         return cls(**base)
@@ -199,23 +197,18 @@ def _norm_exponent(p: float, epsilon: float) -> tuple[float, float]:
     return q, p * q / (p - q)
 
 
-def contraction_window(
-    L: GridFunction, nu: float, p: float, epsilon: float, T: float
-) -> float:
+def contraction_window(L: GridFunction, nu: float, p: float, epsilon: float) -> float:
     """Largest delta <= T with 2 (delta^e1 / e1)^(1/(1+eps)) ||L|| <= 0.99.
 
-    Here e1 = 1 - (1+eps)(1-nu) and the norm exponent is pq/(p-q) from the
-    exponent relation (sup norm when p = q).  The left side increases in
+    T is the horizon of L's grid, e1 = 1 - (1+eps)(1-nu) and the norm
+    exponent is pq/(p-q) from the exponent relation (sup norm when p = q).  The left side increases in
     delta, so when delta = T fails the condition, equality gives the window
     in closed form: delta = (e1 (0.99 / (2 ||L||))^(1+eps))^(1/e1).  Testing T
     first keeps a tiny ||L|| from overflowing the power.
     """
-    # each comparison is False for nan, so the chains reject it too
-    if not 1.0 <= p < math.inf:
+    if not 1.0 <= p < math.inf:  # False for nan
         raise HypothesisError(f"p must be finite and >= 1, got {p}")
-    if not 0.0 < T < math.inf:
-        raise ParameterError(f"T must be finite and positive, got {T}")
-    return _contraction_window(_lp_norm_at(L), nu, p, epsilon, T)
+    return _contraction_window(_lp_norm_at(L), nu, p, epsilon, L.spec.t_end)
 
 
 def _contraction_window(norm_of, nu: float, p: float, epsilon: float, T: float) -> float:
@@ -234,10 +227,8 @@ def _contraction_window(norm_of, nu: float, p: float, epsilon: float, T: float) 
     return min(T, (e1 * (0.99 / (2.0 * norm)) ** (1.0 + epsilon)) ** (1.0 / e1))
 
 
-def choose_epsilon(
-    p: float, nu: float, L: GridFunction, spec: GridSpec
-) -> tuple[float, float, int]:
-    """Pick epsilon by the three-case analysis, maximizing the window length.
+def choose_epsilon(p: float, nu: float, L: GridFunction) -> tuple[float, float, int]:
+    """Pick epsilon by the three-case analysis, maximizing the window (<= L's horizon).
 
     Case 1 (p > 1/(1-nu)): scan epsilon in (0, nu/(1-nu)).
     Case 2 (1 < p <= 1/(1-nu)): scan epsilon in (0, p-1).
@@ -247,7 +238,6 @@ def choose_epsilon(
     """
     if not 1.0 <= p < math.inf:  # False for nan
         raise HypothesisError(f"p must be finite and >= 1, got {p}")
-    T = spec.t_end
     if abs(p - 1.0) < 1e-12:
         q, _ = _norm_exponent(1.0, 0.0)
         return 0.0, q, 3
@@ -260,7 +250,7 @@ def choose_epsilon(
     for k in range(1, 21):
         eps = hi * k / 21.0
         try:
-            delta = _contraction_window(norm_of, nu, p, eps, T)
+            delta = _contraction_window(norm_of, nu, p, eps, L.spec.t_end)
         except HypothesisError:
             continue
         if best is None or delta > best[1]:
@@ -277,8 +267,12 @@ def choose_epsilon(
 
 # (t, s) pairs per kernel call; caps the weight block and a row-dependent answer
 _PAIR_BUDGET = 1 << 16
-# nodes per Picard window at most, so that an in-window sweep is one kernel call
-_WINDOW_NODES = math.isqrt(_PAIR_BUDGET)
+# nodes per Picard window at most, so that an in-window sweep is one kernel
+# call.  Measured: at 256, a t-dependent sweep's 512 KiB answers made
+# example414 (n = 512) cost 0.10-0.19 s and up to 42,000 page faults a run,
+# set by what the process had freed before (glibc's mmap threshold); 128 and
+# 64 take 0.06 s and a few hundred faults whatever ran before.
+_WINDOW_NODES = 128
 
 
 class _RowEngine:
@@ -497,9 +491,7 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
     # auto's delta is the certified window; a forced delta waives the
     # certificate, so its hypotheses go unchecked
     if config is not None and (delta is None or not cfg.force_delta):
-        certified = contraction_window(
-            prob.kernel.L, prob.nu, prob.p, cfg.epsilon, spec.t_end
-        )
+        certified = contraction_window(prob.kernel.L, prob.nu, prob.p, cfg.epsilon)
         if delta is None:
             delta = certified
         elif delta > certified * (1.0 + 1e-9):

@@ -38,7 +38,7 @@ def test_criterion_1_quadrature_exactness():
             t = spec.times
             b2 = dv.beta(2.0, nu)
             for i in range(1, n + 1):
-                row = W.row(i)
+                row = W.block(i, i)[0]
                 rs = row.sum()
                 assert abs(rs - t[i] ** nu / nu) <= 1e-10 * (t[i] ** nu / nu)
                 fm = float(np.dot(row, t[: i + 1]))

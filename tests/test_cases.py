@@ -67,21 +67,21 @@ def test_params_validation():
 def test_problem_constant_free_term_at_sigma_one():
     T = 0.75
     spec = GridSpec(t_end=T, n_points=96, h=T)
-    prob = example_problem(BLOWUP_SET, T, spec)
+    prob = example_problem(BLOWUP_SET, spec)
     assert np.allclose(prob.zeta.horizon_values, 1.0)
 
 
 def test_problem_rejects_singular_node():
     spec = GridSpec(t_end=2.0, n_points=64, h=2.0)  # node at t = 1 exactly
     with pytest.raises(ParameterError):
-        example_problem(BLOWUP_SET, 2.0, spec)
+        example_problem(BLOWUP_SET, spec)
 
 
 def test_growth_bound_holds_at_zero_state():
     # kappa(t, s, 0, 0, u0) equals L0(s) exactly (the t-factors cancel)
     T = 0.9
     spec = GridSpec(t_end=T, n_points=128, h=T)
-    prob = example_problem(BLOWUP_SET, T, spec)
+    prob = example_problem(BLOWUP_SET, spec)
     t_pos = spec.times[spec.delay_steps :]
     rng = np.random.default_rng(7)
     for _ in range(100):
@@ -98,7 +98,7 @@ def test_sqrt_lipschitz_envelope_sampled():
     # |sqrt(c + x) - sqrt(c + y)| <= |x - y| / (2 sqrt(c)) transfers to kappa
     T = 0.9
     spec = GridSpec(t_end=T, n_points=128, h=T)
-    prob = example_problem(BLOWUP_SET, T, spec)
+    prob = example_problem(BLOWUP_SET, spec)
     t_pos = spec.times[spec.delay_steps :]
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -148,7 +148,7 @@ def test_blowup_iterates_stay_above_one():
     # sigma = 1: every operator application keeps values >= 1
     T = 0.9
     spec = GridSpec(t_end=T, n_points=128, h=T)
-    prob = example_problem(BLOWUP_SET, T, spec)
+    prob = example_problem(BLOWUP_SET, spec)
     cur = prob.zeta
     for _ in range(3):
         cur = apply_state_operator(prob, cur)
@@ -159,7 +159,7 @@ def test_solution_dominates_drive_convolution():
     # xi >= 1 + int L0 (t-s)^(beta-1) ds, quadrature-consistent both sides
     T = 0.95
     spec = GridSpec(t_end=T, n_points=512, h=T)
-    prob = example_problem(BLOWUP_SET, T, spec)
+    prob = example_problem(BLOWUP_SET, spec)
     xi = picard_solve(prob, SolverConfig(delta=T, force_delta=True))
     W = build_singular_weights(spec, prob.nu)
     drive = singular_convolution(prob.kernel.L0, W)
@@ -176,7 +176,7 @@ def test_gamma_above_one_reading():
         nu_e=Fraction(2, 3), beta_e=Fraction(1, 2), delta_e=Fraction(1, 2),
         sigma_e=1, gamma_e=1.5,
     )
-    prob = example_problem(params, T, spec)
+    prob = example_problem(params, spec)
     t_pos = spec.times[spec.delay_steps :]
     rng = np.random.default_rng(3)
     for _ in range(100):

@@ -290,12 +290,12 @@ def test_theta_n_against_explicit_row_assembly(rng):
         for k in range(1, n + 1):
             r = ell - k * m
             if r >= 1:
-                expect[ell] += K * float(np.dot(W.row(r), (L * th)[: r + 1]))
+                expect[ell] += K * float(np.dot(W.block(r, r)[0], (L * th)[: r + 1]))
         for k in range(0, n):
             r = ell - k * m - m
             if r >= 1:
                 expect[ell] += K * float(
-                    np.dot(W.row(r), L[m : m + r + 1] * th[: r + 1])
+                    np.dot(W.block(r, r)[0], L[m : m + r + 1] * th[: r + 1])
                 )
     assert np.allclose(got, expect, rtol=1e-12, atol=1e-13)
 
@@ -310,7 +310,7 @@ def _dense_operators(prob):
     A2 = np.zeros_like(A1)
     for i in range(m + 1, npts + 1):
         r = i - m
-        A2[i, : r + 1] = W.row(r) * L[m : m + r + 1]
+        A2[i, : r + 1] = W.block(r, r)[0] * L[m : m + r + 1]
     return A1, A2
 
 
@@ -440,6 +440,27 @@ def test_lemma_row_max_peaks_below_one_dense_array():
     finally:
         tracemalloc.stop()
     assert peak < dense_bytes
+
+
+def test_lemma_row_max_keeps_one_strip():
+    # the running L R strip, the slab and the diagonal resolvents are about a
+    # strip each; R and A1 of a strip are only b x b block temporaries
+    import tracemalloc
+
+    from delvol.gronwall import _STRIP, _lemma_row_max
+
+    spec = GridSpec(t_end=1.0, n_points=2048, h=0.25)
+    t = spec.times[spec.delay_steps :]
+    L = GridFunction.from_horizon_values(spec, 1.0 + 0.5 * np.sin(3.0 * t))
+    W = build_singular_weights(spec, 0.6)
+    strip_bytes = (spec.n_points + 1) * _STRIP * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        _lemma_row_max(L, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * strip_bytes
 
 
 def _full_horizon_steps_curve(problem, weights, K_lemma, dense=None):

@@ -12,7 +12,6 @@ from delvol import (
     beta,
     build_singular_weights,
     delayed_product_convolution,
-    delayed_singular_convolution,
     shift_by_delay,
     singular_convolution,
 )
@@ -29,7 +28,7 @@ def test_row_identities(nu):
     W = build_singular_weights(spec, nu)
     t = horizon_times(spec)
     for i in (1, 2, 17, 64, 128):
-        row = W.row(i)
+        row = W.block(i, i)[0]
         assert np.all(row >= 0.0)
         assert row.sum() == pytest.approx(t[i] ** nu / nu, rel=1e-12)
         moment = float(np.dot(row, t[: i + 1]))
@@ -41,7 +40,7 @@ def test_row_identities(nu):
     for i in (0, 1, 2, 17, 64, 128):
         for lo in range(0, i + 1, max(1, i // 7)):
             for hi in sorted({lo, (lo + i) // 2, i}):
-                assert np.array_equal(W.row(i, lo, hi), dense[i, lo : hi + 1])
+                assert np.array_equal(W.block(i, i, lo, hi)[0], dense[i, lo : hi + 1])
     # the dense array from the stencils directly: w_left in column 0, the
     # stencil at distance i - j inside, zero above the diagonal and in row 0
     n = spec.n_points
@@ -61,7 +60,7 @@ def test_single_cell_row_sum():
     # unit step: row 1 on a dt = 1 grid reproduces the one-cell identity
     spec = GridSpec(t_end=2.0, n_points=2)
     W = build_singular_weights(spec, 0.3)
-    assert W.row(1).sum() == pytest.approx(1.0 / 0.3, rel=1e-13)
+    assert W.block(1, 1)[0].sum() == pytest.approx(1.0 / 0.3, rel=1e-13)
 
 
 def test_invalid_exponent():
@@ -163,7 +162,7 @@ def test_delayed_conv_total_lag():
     spec = GridSpec(t_end=1.0, n_points=32, h=2.0)
     W = build_singular_weights(spec, 0.5)
     f = GridFunction.constant(spec, 3.0)
-    g = delayed_singular_convolution(f, W)
+    g = delayed_product_convolution(GridFunction.constant(spec, 1.0), f, W)
     assert np.all(g.values == 0.0)
 
 
@@ -171,7 +170,7 @@ def test_delayed_conv_zero_lag():
     spec = GridSpec(t_end=1.0, n_points=32, h=0.0)
     W = build_singular_weights(spec, 0.5)
     f = GridFunction.from_callable(spec, lambda t: 1.0 + t)
-    a = delayed_singular_convolution(f, W)
+    a = delayed_product_convolution(GridFunction.constant(spec, 1.0), f, W)
     b = singular_convolution(f, W)
     assert np.array_equal(a.values, b.values)
 
@@ -181,7 +180,7 @@ def test_delayed_conv_indicator_closed_form():
     spec = GridSpec(t_end=1.0, n_points=128, h=0.25)
     W = build_singular_weights(spec, 0.5)
     f = GridFunction.constant(spec, 1.0)
-    g = delayed_singular_convolution(f, W)
+    g = delayed_product_convolution(GridFunction.constant(spec, 1.0), f, W)
     t = horizon_times(spec)
     expect = 2.0 * np.sqrt(np.maximum(t - 0.25, 0.0))
     assert np.allclose(g.horizon_values, expect, rtol=1e-12, atol=1e-14)
@@ -192,7 +191,7 @@ def test_delayed_conv_matches_shift_composition_on_vanishing_start(rng):
     spec = GridSpec(t_end=1.0, n_points=64, h=0.25)
     W = build_singular_weights(spec, 0.6)
     f = GridFunction.from_callable(spec, lambda t: t * (1.0 - t))
-    direct = delayed_singular_convolution(f, W)
+    direct = delayed_product_convolution(GridFunction.constant(spec, 1.0), f, W)
     composed = singular_convolution(shift_by_delay(f), W)
     assert np.allclose(direct.values, composed.values, atol=1e-13)
 

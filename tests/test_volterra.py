@@ -23,7 +23,7 @@ from delvol import (
     check_generator_hypotheses,
     choose_epsilon,
     contraction_window,
-    delayed_singular_convolution,
+    delayed_product_convolution,
     difference_forcing,
     difference_problem,
     fixed_point_residual,
@@ -77,14 +77,34 @@ def delayed_problem(n_points=512):
 def test_contraction_window_zero_L():
     spec = GridSpec(t_end=1.0, n_points=64)
     L = GridFunction.constant(spec, 0.0)
-    assert contraction_window(L, 0.5, 4.0, 0.5, 1.0) == 1.0
+    assert contraction_window(L, 0.5, 4.0, 0.5) == 1.0
+
+
+def test_contraction_window_is_capped_at_the_grid_horizon():
+    spec = GridSpec(t_end=0.5, n_points=64)
+    assert contraction_window(GridFunction.constant(spec, 0.0), 0.5, 4.0, 0.5) == 0.5
+
+
+def test_choose_epsilon_scans_windows_up_to_the_grid_horizon():
+    # nu = 0.7, p = 3, L = 1/2: on [0, 1/2] the first candidate already reaches
+    # the horizon, while windows capped at 1 would peak at the fifth
+    nu, p = 0.7, 3.0
+    spec = GridSpec(t_end=0.5, n_points=64)
+    L = GridFunction.constant(spec, 0.5)
+    eps, _, case = choose_epsilon(p, nu, L)
+    eps_hi = p - 1.0  # case 2: 1 < p <= 1/(1-nu)
+    assert case == 2
+    candidates = [contraction_window(L, nu, p, eps_hi * k / 21.0) for k in range(1, 21)]
+    assert max(candidates) == 0.5
+    assert eps == eps_hi * (1 + candidates.index(max(candidates))) / 21.0
+    assert contraction_window(L, nu, p, eps) == 0.5
 
 
 def test_contraction_window_example():
     # nu = 1/2, p = 4, eps = 1/2, ||L|| = 1: condition 2 (4 delta^(1/4))^(2/3)
     spec = GridSpec(t_end=1.0, n_points=256)
     L = GridFunction.constant(spec, 1.0)
-    delta = contraction_window(L, 0.5, 4.0, 0.5, 1.0)
+    delta = contraction_window(L, 0.5, 4.0, 0.5)
 
     def gain(d):
         return 2.0 * (4.0 * d**0.25) ** (2.0 / 3.0)
@@ -95,8 +115,8 @@ def test_contraction_window_example():
 
 def test_contraction_window_shrinks_with_L():
     spec = GridSpec(t_end=1.0, n_points=256)
-    d1 = contraction_window(GridFunction.constant(spec, 1.0), 0.5, 4.0, 0.5, 1.0)
-    d2 = contraction_window(GridFunction.constant(spec, 2.0), 0.5, 4.0, 0.5, 1.0)
+    d1 = contraction_window(GridFunction.constant(spec, 1.0), 0.5, 4.0, 0.5)
+    d2 = contraction_window(GridFunction.constant(spec, 2.0), 0.5, 4.0, 0.5)
     assert d2 < d1
 
 
@@ -104,20 +124,18 @@ def test_contraction_window_hypothesis():
     spec = GridSpec(t_end=1.0, n_points=64)
     L = GridFunction.constant(spec, 1.0)
     with pytest.raises(HypothesisError):
-        contraction_window(L, 0.3, 4.0, 3.0, 1.0)  # (1+eps)(1-nu) >= 1
+        contraction_window(L, 0.3, 4.0, 3.0)  # (1+eps)(1-nu) >= 1
 
 
 def test_contraction_window_rejects_nan_arguments():
-    # a nan p used to return a window (0.0304 for this L), a nan T nan
+    # a nan p used to return a window (0.0304 for this L)
     spec = GridSpec(t_end=1.0, n_points=64)
     L = GridFunction.constant(spec, 1.0)
     with pytest.raises(HypothesisError, match="p must be finite"):
-        contraction_window(L, 0.5, math.nan, 0.1, 1.0)
-    with pytest.raises(ParameterError, match="T must be finite"):
-        contraction_window(L, 0.5, 4.0, 0.1, math.nan)
+        contraction_window(L, 0.5, math.nan, 0.1)
     for nu, eps in ((math.nan, 0.1), (0.5, math.nan)):
         with pytest.raises(HypothesisError, match="must stay below 1"):
-            contraction_window(L, nu, 4.0, eps, 1.0)
+            contraction_window(L, nu, 4.0, eps)
 
 
 def _bisection_window(norm, nu, epsilon, T):
@@ -155,7 +173,7 @@ def test_contraction_window_closed_form_matches_bisection(nu, p, eps_frac, level
     norm = lp_norm(L, _norm_exponent(p, epsilon)[1])
     ref = _bisection_window(norm, nu, epsilon, 1.0)
     assume(ref >= 2.0**-150)  # below that the bisection itself has few bits
-    delta = contraction_window(L, nu, p, epsilon, 1.0)
+    delta = contraction_window(L, nu, p, epsilon)
     assert abs(delta - ref) <= 1e-12 * ref
     e1 = 1.0 - (1.0 + epsilon) * (1.0 - nu)
     gain = 2.0 * (delta**e1 / e1) ** (1.0 / (1.0 + epsilon)) * norm
@@ -185,14 +203,14 @@ def test_solver_config_rejects_non_positive_delta(delta):
 def test_choose_epsilon_cases():
     spec = GridSpec(t_end=1.0, n_points=128)
     L = GridFunction.constant(spec, 1.0)
-    eps, q, case = choose_epsilon(1.0, 0.5, L, spec)
+    eps, q, case = choose_epsilon(1.0, 0.5, L)
     assert case == 3 and eps == 0.0 and q == pytest.approx(1.0)
-    eps, q, case = choose_epsilon(4.0, 0.5, L, spec)  # p > 1/(1-nu) = 2
+    eps, q, case = choose_epsilon(4.0, 0.5, L)  # p > 1/(1-nu) = 2
     assert case == 1 and 0.0 < eps < 1.0
-    eps, q, case = choose_epsilon(1.5, 0.5, L, spec)  # 1 < p <= 2
+    eps, q, case = choose_epsilon(1.5, 0.5, L)  # 1 < p <= 2
     assert case == 2 and 0.0 < eps < 0.5
     with pytest.raises(HypothesisError):
-        choose_epsilon(0.5, 0.5, L, spec)
+        choose_epsilon(0.5, 0.5, L)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -200,7 +218,7 @@ def test_choose_epsilon_rejects_non_finite_p(bad):
     # nan used to fall through to case 2 and return (nan, nan, 2)
     spec = GridSpec(t_end=1.0, n_points=64)
     with pytest.raises(HypothesisError, match=f"p must be finite and >= 1, got {bad}"):
-        choose_epsilon(bad, 0.5, GridFunction.constant(spec, 1.0), spec)
+        choose_epsilon(bad, 0.5, GridFunction.constant(spec, 1.0))
 
 
 # -- solver --------------------------------------------------------------------
@@ -318,7 +336,7 @@ def test_state_operator_matches_fft_convolutions():
     expect = (
         zeta
         + a * singular_convolution(z, W)
-        + b * delayed_singular_convolution(z, W)
+        + b * delayed_product_convolution(GridFunction.constant(spec, 1.0), z, W)
     )
     got = apply_state_operator(prob, z)
     np.testing.assert_allclose(got.values, expect.values, rtol=1e-12, atol=0.0)
@@ -333,8 +351,8 @@ def test_difference_forcing_matches_fft_convolution():
     x1 = _wavy(spec, 2.0)
     x2 = GridFunction.from_callable(spec, lambda t: np.sin(5.0 * t))
     W = build_singular_weights(spec, p1.nu)
-    expect = (p1.zeta - p2.zeta).magnitude() + c * delayed_singular_convolution(
-        (x1 - x2).magnitude(), W
+    expect = (p1.zeta - p2.zeta).magnitude() + c * delayed_product_convolution(
+        GridFunction.constant(spec, 1.0), (x1 - x2).magnitude(), W
     )
     got = difference_forcing(p1, p2, x1, x2)
     np.testing.assert_allclose(got.values, expect.values, rtol=1e-12, atol=0.0)
@@ -790,7 +808,7 @@ def _example414_problem():
     from delvol.cases import ExampleParams, example_problem
 
     spec = GridSpec(t_end=0.9, n_points=90, h=0.3)  # no node at the singular s = 1
-    return example_problem(ExampleParams(2 / 3, 1 / 2, 1 / 2, 1, 1 / 2), 0.9, spec)
+    return example_problem(ExampleParams(2 / 3, 1 / 2, 1 / 2, 1, 1 / 2), spec)
 
 
 def _t_dependent_vector_problem():
@@ -1148,7 +1166,7 @@ def test_auto_config_scans_epsilon_on_one_magnitude_of_L(monkeypatch):
     cfg = SolverConfig.auto(prob)
     eps_hi = prob.nu / (1.0 - prob.nu)  # case 1 at p = 4, nu = 1/2
     candidates = [
-        contraction_window(L, prob.nu, prob.p, eps_hi * k / 21.0, prob.spec.t_end)
+        contraction_window(L, prob.nu, prob.p, eps_hi * k / 21.0)
         for k in range(1, 21)
     ]
     assert cfg.delta == max(candidates)  # bitwise
