@@ -110,13 +110,14 @@ def example_problem(
     gamma = float(params.gamma_e)
 
     def kappa(t, s, xi, xi_h, u):
-        s = np.asarray(s, dtype=float)
-        root = np.sqrt(
-            np.abs(s - 1.0) ** (2.0 * delta - 2.0) * abs(t + 1.0) ** (2.0 - 2.0 * gamma)
-            + np.abs(xi)
-            + np.abs(xi_h)
-        )
-        return root / (np.abs(s - 1.0) ** (1.0 - nu) * abs(t + 1.0) ** (1.0 - gamma))
+        # the generator above as sqrt(|s-1|^(2 (nu + delta) - 4)
+        #   + (|xi| + |xi_h|) |s-1|^(2 nu - 2) |t+1|^(2 gamma - 2)):
+        # s-axis factors first, then three passes over the (R, C) answer
+        d = np.abs(np.asarray(s, dtype=float) - 1.0)
+        slope = (np.abs(xi) + np.abs(xi_h)) * d ** (2.0 * nu - 2.0)
+        out = np.multiply(abs(t + 1.0) ** (2.0 * gamma - 2.0), slope)
+        out += d ** (2.0 * (nu + delta) - 4.0)
+        return np.sqrt(out, out=out)
 
     zeta = GridFunction.from_callable(
         spec, lambda t: np.abs(t - 1.0) ** (sigma - 1.0)

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, HypothesisError, ParameterError, StructuralError
-from .grid import GridFunction, GridSpec, lp_norm
+from .grid import GridFunction, GridSpec, _csv_rows, lp_norm
 from .quadrature import (
     SingularWeights,
     build_singular_weights,
@@ -134,15 +134,8 @@ class BoundReport:
             for line in header_lines:
                 fh.write(f"# {line}\n")
             fh.write("t,theta,theta_n,bound,majorant,margin\n")
-            for i, t in enumerate(spec.times):
-                row = (
-                    self.theta.values[i],
-                    self.theta_n.values[i],
-                    self.bound.values[i],
-                    self.majorant.values[i],
-                    self.margin.values[i],
-                )
-                fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+            curves = (self.theta, self.theta_n, self.bound, self.majorant, self.margin)
+            fh.write(_csv_rows(np.column_stack([spec.times] + [c.values for c in curves])))
         sidecar = str(path)
         sidecar = sidecar[: sidecar.rfind(".")] if "." in sidecar else sidecar
         with open(sidecar + "_constants.txt", "w") as fh:

@@ -11,10 +11,13 @@ full lower-triangular array is represented by two stencil vectors:
 (right endpoint).  ``SingularWeights.block`` (a fresh block) and
 ``SingularWeights.slab`` (a row block whose column slices are every weight
 block of those rows) are the two places that lay rows out from the stencils.
-The lower-triangular Toeplitz product with a horizon prefix,
-``SingularWeights.apply_horizon``, is the one place that sums by convolution:
-one FFT-based linear convolution with the stencil plus a rank-one boundary
-correction.  Every convolution in the library and the
+Two helpers sum rows without laying any out.  ``SingularWeights.apply_rows``
+sums by direct correlation with the stencil: every product as it is, so a
+row reads only the values it weighs and zero values give exact zeros; the
+Picard history and the kappa-difference curve of the Volterra solver go
+through it.  ``SingularWeights.apply_horizon`` sums a horizon prefix by
+convolution: one FFT-based linear convolution with the stencil plus a
+rank-one boundary correction.  Every convolution in the library and the
 state-operator row sums of the Volterra solver go through it; the delay
 shift s = h + u of a delayed product lives in ``SingularWeights.apply_delayed``
 alone.
@@ -137,6 +140,35 @@ class SingularWeights:
         No library code calls it; it is the tests' dense reference.
         """
         return self.block(0, self.spec.n_points)
+
+    def apply_rows(self, f: np.ndarray, i0: int, i1: int) -> np.ndarray:
+        """Rows i0..i1 of g[i] = sum_{j <= min(i, k)} w[i][j] f[j] for a prefix f[0..k].
+
+        Direct correlation with the stencil ``_kernel`` plus the w_left edge
+        at j = 0; no weights are laid out and no FFT is taken.  Every product
+        is summed as it is, row i reads f[0..i] only (a non-finite f[j]
+        reaches the rows i >= j and no other), and zero leading values give
+        exact zeros.  Rows at or past k are one valid correlation over
+        f[1..k]; rows below k add the columns 1..i0 that each of them reads
+        and a triangle, one convolution.  A 2-D f is taken column by column.
+        """
+        if f.ndim > 1:
+            return np.stack(
+                [self.apply_rows(f[:, c], i0, i1) for c in range(f.shape[1])], axis=1
+            )
+        k = min(len(f), i1 + 1) - 1  # no row up to i1 reads a later column
+        kern = self._kernel
+        g = self.w_left[i0 : i1 + 1] * f[0]
+        if k == 0:
+            return g
+        a = max(i0, k)  # rows a..i1 read every column 1..k
+        g[a - i0 :] += np.correlate(kern[a - k : i1], f[k:0:-1], "valid")
+        if 0 < i0 < k:  # rows i0..k-1, columns 1..i0
+            g[: k - i0] += np.correlate(kern[: k - 1], f[i0:0:-1], "valid")
+        if i0 + 1 < k:  # rows i0+1..k-1, columns i0+1..i
+            tri = k - i0 - 1
+            g[1 : k - i0] += np.convolve(f[i0 + 1 : k], kern[:tri])[:tri]
+        return g
 
     def apply_horizon(self, f: np.ndarray) -> np.ndarray:
         """Convolve a horizon prefix f[0..k], k <= n: g[i] = sum_{j<=i} w[i][j] f[j].

@@ -10,15 +10,19 @@ frozen history of a window, one application of the state operator, and the
 kappa-difference curve of the stability check) go through ``_block_sum``,
 which also splits the delay jump cell at s = h.  One kernel call at the last
 row picks one of two paths.  An s-shaped answer (kappa ignores t) serves
-every row: one matvec per row block with ``SingularWeights.block``, or, for
-a full prefix of the state operator, one lower-triangular Toeplitz product
-by FFT, ``SingularWeights.apply_horizon``.  An answer with a row axis
-(kappa reads t) is called again per block of rows and summed row by row.
-The in-window part of a Picard sweep is one row block, so each window
-prepares it once (``_window_sweep``) against the corner of one weight block
-built per solve.  The generator kappa carries its growth and Lipschitz
-envelopes (L0, L, u0, omega) so the well-posedness estimates can be
-evaluated against the certified comparison machinery.
+every row and lays out no weights: a full prefix of the state operator is
+one lower-triangular Toeplitz product by FFT
+(``SingularWeights.apply_horizon``), and any other sum, the kappa-difference
+curve and a non-finite answer included, is one direct correlation with the
+stencil (``SingularWeights.apply_rows``).  Picard keeps the s-shaped values
+of its solved nodes, so a t-free history calls no kernel at all.  An answer
+with a row axis (kappa reads t) is called again per block of rows and summed
+row by row against the weights ``SingularWeights.block`` lays out.  The
+in-window part of a Picard sweep is one row block, so each window prepares
+it once (``_window_sweep``) against the corner of one weight block built per
+solve.  The generator kappa carries its growth and Lipschitz envelopes (L0,
+L, u0, omega) so the well-posedness estimates can be evaluated against the
+certified comparison machinery.
 
 Kernel contract: ``kappa(t, s, xi, xi_h, u)`` is vectorized.  s, xi, xi_h
 and u are same-length arrays along the s-axis (xi and xi_h are (C, dim) for
@@ -265,7 +269,8 @@ def choose_epsilon(p: float, nu: float, L: GridFunction) -> tuple[float, float, 
 
 # -- core block assembly -----------------------------------------------------
 
-# (t, s) pairs per kernel call; caps the weight block and a row-dependent answer
+# (t, s) pairs per kernel call with a row axis, and so per weight block laid
+# out for it; an s-shaped answer is summed without a block
 _PAIR_BUDGET = 1 << 16
 # nodes per Picard window at most, so that an in-window sweep is one kernel
 # call.  Measured: at 256, a t-dependent sweep's 512 KiB answers made
@@ -280,7 +285,8 @@ class _RowEngine:
 
     ``_block_sum`` turns an integrand into quadrature row sums; the row layout
     (w_left at j = 0, the reversed stencil inside, w_right[1] on the diagonal)
-    lives in ``SingularWeights.block`` alone.  The state is kept in the grid's
+    lives in ``SingularWeights`` alone, which lays it out (``block``) or sums
+    by it (``apply_rows``, ``apply_horizon``).  The state is kept in the grid's
     own layout, m = h/dt zero prehistory nodes before the horizon values, so
     the lag z(s_j - h) of horizon node j is the same array read at j and can
     never fall out of step with z.  The lag jumps at s = h when z(0) != 0, so
@@ -326,7 +332,7 @@ class _RowEngine:
 
         def call() -> np.ndarray:
             vals = np.asarray(self.kappa(*args), dtype=float)
-            if vals.shape == shape:
+            if vals.shape == shape or vals.shape == full:
                 return vals
             if vals.ndim == 0:
                 return np.broadcast_to(vals, shape)
@@ -375,17 +381,22 @@ def _weighted_rows(w: np.ndarray, vals: np.ndarray, r0: int, lo: int, ndim: int)
     """Row sums of the weight block w (rows r0.., columns lo..) against kappa values.
 
     An s-shaped answer (``vals.ndim == ndim``) serves every row through one
-    matvec; an answer with a row axis is summed row by row (einsum).  Pairs
-    above the diagonal (s_j > t_i) carry zero weight, but 0 * nan is nan: a
-    non-finite answer is masked there, so a kernel may be undefined at s > t,
-    and a nan at s_j still makes every row i >= j non-finite.
+    matvec; an answer with a row axis is summed row by row (einsum), and only
+    its R sums are checked.  Pairs above the diagonal (s_j > t_i) carry zero
+    weight, but 0 * nan is nan: a non-finite answer is masked there, so a
+    kernel may be undefined at s > t, and a nan at s_j still makes every row
+    i >= j non-finite.  Every value meets some row sum, so a non-finite value
+    always shows in one; finite values whose sum overflows are not masked.
     """
-    per_row = vals.ndim > ndim
-    if not np.isfinite(vals).all():
-        keep = np.arange(lo, lo + w.shape[1]) <= np.arange(r0, r0 + len(w))[:, None]
-        vals = np.where(keep.reshape(keep.shape + (1,) * (ndim - 1)), vals, 0.0)
-        per_row = True
-    return np.einsum("rc,rc...->r...", w, vals) if per_row else w @ vals
+    if vals.ndim > ndim:
+        out = np.einsum("rc,rc...->r...", w, vals)
+        if np.isfinite(out).all() or np.isfinite(vals).all():
+            return out
+    elif np.isfinite(vals).all():  # C values; checked first, as matmul warns on 0 * inf
+        return w @ vals
+    keep = np.arange(lo, lo + w.shape[1]) <= np.arange(r0, r0 + len(w))[:, None]
+    vals = np.where(keep.reshape(keep.shape + (1,) * (ndim - 1)), vals, 0.0)
+    return np.einsum("rc,rc...->r...", w, vals)
 
 
 def _split_cell(g, acc: np.ndarray, r0: int, r1: int, lo: int, vals: np.ndarray) -> None:
@@ -404,23 +415,25 @@ def _split_cell(g, acc: np.ndarray, r0: int, r1: int, lo: int, vals: np.ndarray)
     acc[k:] += wr.reshape((-1,) + (1,) * (acc.ndim - 1)) * (left - right)
 
 
-def _block_sum(g, i0: int, i1: int, lo: int, hi: int) -> np.ndarray:
+def _block_sum(g, i0: int, i1: int, lo: int, hi: int, known=None) -> np.ndarray:
     """Rows i0..i1 of sum_{lo <= j <= min(hi, i)} w[i][j] g(t_i, s_j), s = h cell split.
 
-    One kappa call at the last row t_{i1}, over every column of the sum (all
-    at s <= t there), picks one of two paths:
+    ``known`` holds s-shaped kernel values of columns lo.. when the caller
+    has them (the Picard history).  Otherwise one kappa call at the last row
+    t_{i1}, over every column of the sum (all at s <= t there), picks one of
+    two paths:
 
     * an s-shaped answer (kappa ignores t) serves every row.  A full prefix
       (lo = 0, hi >= i1) of an integrand with ``fft_prefix`` set is summed as
       one lower-triangular Toeplitz product by FFT (``apply_horizon``); its
       round-off is about eps times the largest value, of either sign, at
-      every node.  Any other sum, or a non-finite answer (``_weighted_rows``
-      masks it above the diagonal), takes one matvec per row block;
+      every node.  Any other prefix sum, or a non-finite answer, is one
+      direct correlation (``apply_rows``): exact zeros stay zero, and a nan
+      at s_j reaches only the rows i >= j.  A sum from lo > 0 (in-window, as
+      the reference of ``_window_sweep``) is one matvec against its block;
     * an answer with a row axis (kappa reads t) is evaluated again per row
-      block and summed row by row.
-
-    A row block holds at most ``_PAIR_BUDGET`` (t, s) pairs; its weights come
-    from ``SingularWeights.block``.
+      block and summed row by row against ``SingularWeights.block``.  A row
+      block holds at most ``_PAIR_BUDGET`` (t, s) pairs.
 
     When the delayed trace jumps, rows i >= m of a sum whose columns hold
     node m get the split-cell correction of ``_split_cell``: once per call for
@@ -429,29 +442,32 @@ def _block_sum(g, i0: int, i1: int, lo: int, hi: int) -> np.ndarray:
     comparison operators use.  This is the only place the split is made.
     """
     width = min(hi, i1) - lo + 1
-    vals = g.values(slice(i1, i1 + 1), slice(lo, lo + width))
-    s_shaped = vals.ndim == g.ndim
-    split = g.jumps and lo <= g.m < lo + width
-    full_prefix = lo == 0 and width == i1 + 1
-    if s_shaped and g.fft_prefix and full_prefix and np.all(np.isfinite(vals)):
-        acc = g.weights.apply_horizon(vals)[i0:]
+    if known is not None:
+        vals = known[lo : lo + width]
     else:
-        step = max(1, _PAIR_BUDGET // width)
-        out = []
-        for r0 in range(i0, i1 + 1, step):
-            r1 = min(r0 + step, i1 + 1) - 1
-            c1 = min(hi, r1)
-            if s_shaped:
-                v = vals[: c1 - lo + 1]
-            else:
-                v = g.values(slice(r0, r1 + 1), slice(lo, c1 + 1))
-            out.append(_weighted_rows(g.weights.block(r0, r1, lo, c1), v, r0, lo, g.ndim))
-            if split and not s_shaped and g.m <= c1:
-                _split_cell(g, out[-1], r0, r1, lo, v)
-        acc = np.concatenate(out)
-    if split and s_shaped:
-        _split_cell(g, acc, i0, i1, lo, vals)
-    return acc
+        vals = g.values(slice(i1, i1 + 1), slice(lo, lo + width))
+    split = g.jumps and lo <= g.m < lo + width
+    if vals.ndim == g.ndim:
+        if lo > 0:  # an in-window sum: the matvec of ``_window_sweep``
+            w = g.weights.block(i0, i1, lo, lo + width - 1)
+            acc = _weighted_rows(w, vals, i0, lo, g.ndim)
+        elif g.fft_prefix and width == i1 + 1 and np.isfinite(vals).all():
+            acc = g.weights.apply_horizon(vals)[i0:]
+        else:
+            acc = g.weights.apply_rows(vals, i0, i1)
+        if split:
+            _split_cell(g, acc, i0, i1, lo, vals)
+        return acc
+    step = max(1, _PAIR_BUDGET // width)
+    out = []
+    for r0 in range(i0, i1 + 1, step):
+        r1 = min(r0 + step, i1 + 1) - 1
+        c1 = min(hi, r1)
+        v = g.values(slice(r0, r1 + 1), slice(lo, c1 + 1))
+        out.append(_weighted_rows(g.weights.block(r0, r1, lo, c1), v, r0, lo, g.ndim))
+        if split and g.m <= c1:
+            _split_cell(g, out[-1], r0, r1, lo, v)
+    return np.concatenate(out)
 
 
 def _window_sweep(g: _RowEngine, i0: int, i1: int, w: np.ndarray):
@@ -473,6 +489,20 @@ def _window_sweep(g: _RowEngine, i0: int, i1: int, w: np.ndarray):
     return sweep
 
 
+def _fill(g: _RowEngine, known: np.ndarray, i0: int, i1: int):
+    """Store kappa at the solved nodes i0..i1 into known; None if it reads t.
+
+    One call at t_{i1} (t_1 for node 0 alone, so that t = 0 is never a row
+    time), so every pair has s <= t.
+    """
+    row = max(i1, 1)
+    vals = g.values(slice(row, row + 1), slice(i0, i1 + 1))
+    if vals.ndim > g.ndim:
+        return None
+    known[i0 : i1 + 1] = vals
+    return known
+
+
 def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> GridFunction:
     """Solve the state equation window by window; returns xi on [-h, T].
 
@@ -483,7 +513,11 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
     and never hurts.  The in-window weights depend on i - j alone, so one
     block serves every sweep of every window (the last, shorter window takes
     its top-left corner), and each window prepares its sweep once
-    (``_window_sweep``); the frozen history goes through ``_block_sum``.
+    (``_window_sweep``).  The frozen history goes through ``_block_sum``.
+    While kappa answers s-shaped, its values at the solved nodes are kept
+    (``_fill``: node 0 at load, then one call per converged window), so the
+    history is one correlation over them and no solved pair is evaluated
+    again; once an answer reads t, every history probes its columns afresh.
     """
     cfg = config if config is not None else SolverConfig.auto(prob)
     spec = prob.spec
@@ -504,10 +538,11 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
     zeta = prob.zeta.horizon_values
     engine = _RowEngine(prob).load(zeta)
     window_weights = prob.weights.block(1, step, 1, step)
+    known = _fill(engine, np.empty(zeta.shape), 0, 0)
 
     for w_idx, lo in enumerate(range(0, n, step)):
         hi = min(lo + step, n)
-        frozen = zeta[lo + 1 : hi + 1] + _block_sum(engine, lo + 1, hi, 0, lo)
+        frozen = zeta[lo + 1 : hi + 1] + _block_sum(engine, lo + 1, hi, 0, lo, known)
         sweep = _window_sweep(engine, lo + 1, hi, window_weights[: hi - lo, : hi - lo])
         current = engine.z[lo + 1 : hi + 1]
         increments = []
@@ -539,6 +574,8 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
                 history=increments,
                 window=w_idx,
             )
+        if known is not None:
+            known = _fill(engine, known, lo + 1, hi)
     return GridFunction(spec, engine.state)
 
 

@@ -203,3 +203,43 @@ def test_blowup_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "epsilon,lower_bound,xi_near_1,resolution"
     assert len([l for l in lines if not l.startswith("#")]) == 1 + 2 * 2
+
+
+def _generator_closed_form(params, t, s, xi, xi_h):
+    # the generator as the module docstring writes it
+    nu, delta, gamma = float(params.nu_e), float(params.delta_e), float(params.gamma_e)
+    d, r = np.abs(s - 1.0), np.abs(t + 1.0)
+    root = np.sqrt(d ** (2.0 * delta - 2.0) * r ** (2.0 - 2.0 * gamma) + np.abs(xi) + np.abs(xi_h))
+    return root / (d ** (1.0 - nu) * r ** (1.0 - gamma))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [BLOWUP_SET, ExampleParams(0.8, 0.6, 0.9, 0.5, Fraction(3, 4)), ExampleParams(0.6, 0.7, 1, 1, 1.4)],
+    ids=["paper-set", "gamma-3/4", "gamma-1.4"],
+)
+def test_example_generator_matches_its_closed_form(rng, params):
+    spec = GridSpec(t_end=0.95, n_points=190, h=0.95)  # no node at s = 1
+    kappa = example_problem(params, spec).kernel.kappa
+    s = np.sort(rng.uniform(0.0, 0.95, size=60))
+    xi, xi_h = rng.uniform(-3.0, 3.0, size=(2, 60))
+    u = np.zeros(60)
+    for t in (0.0, 0.5, 0.95, np.linspace(0.0, 0.95, 7)[:, None]):
+        got = kappa(t, s, xi, xi_h, u)
+        want = _generator_closed_form(params, t, s, xi, xi_h)
+        assert got.shape == np.broadcast(t, s).shape
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+def test_blowup_values_keep_the_direct_generator():
+    # xi_near_1 as the direct form of the generator (a square root over a
+    # quotient) gave them; the generator is now evaluated in three passes
+    recorded = {
+        (0.1, 256): 8.866455333477038,
+        (0.1, 512): 8.866166316374686,
+        (0.05, 256): 11.41169808137898,
+        (0.05, 512): 11.410054184633475,
+    }
+    report = blowup_diagnostic(BLOWUP_SET, [0.1, 0.05], resolutions=(256, 512))
+    for key, want in recorded.items():
+        assert report.xi_near_1[key] == pytest.approx(want, rel=1e-13, abs=0.0)

@@ -193,3 +193,27 @@ def test_values_immutable():
     f = GridFunction.constant(spec, 1.0)
     with pytest.raises(ValueError):
         f.values[0] = 3.0
+
+
+# -0, subnormals, +-inf, nan and 1e+-300: values whose text a CSV writer may
+# render differently from the per-value f"{v:.17g}"
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan, 1e300, -1e-300, 1.0 / 3.0]
+
+
+def per_value_rows(times, table) -> str:
+    return "".join(
+        f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n" for t, row in zip(times, table)
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_csv_bytes_match_the_per_value_format(tmp_path, rng, dim):
+    spec = GridSpec(t_end=1.0, n_points=40)
+    vals = rng.choice(SPECIAL_VALUES, size=(spec.n_nodes, dim))
+    vals[: len(SPECIAL_VALUES), 0] = SPECIAL_VALUES
+    f = GridFunction(spec, vals[:, 0] if dim == 1 else vals)
+    path = tmp_path / "f.csv"
+    f.to_csv(path, header_lines=("seed 1",))
+    cols = "value" if dim == 1 else "xi_1,xi_2,xi_3"
+    expect = f"# seed 1\nt,{cols}\n" + per_value_rows(spec.times, vals)
+    assert path.read_bytes() == expect.encode()

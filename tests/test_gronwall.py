@@ -812,3 +812,21 @@ def test_bound_report_csv(tmp_path):
     assert len(lines) == 1 + res.report.bound.spec.n_nodes
     sidecar = (tmp_path / "report_constants.txt").read_text()
     assert "K_steps" in sidecar and "nu1" in sidecar
+
+
+def test_bound_report_csv_bytes_match_the_per_value_format(tmp_path):
+    from dataclasses import replace
+
+    from test_grid import SPECIAL_VALUES, per_value_rows
+
+    report = certify(unit_problem(n_points=64)).report
+    spec = report.bound.spec
+    odd = np.resize(np.array(SPECIAL_VALUES), spec.n_nodes)
+    odd[: spec.delay_steps] = 0.0  # the prehistory stays zero
+    report = replace(report, majorant=GridFunction(spec, odd), margin=GridFunction(spec, -odd))
+    path = tmp_path / "report.csv"
+    report.to_csv(path)
+    curves = (report.theta, report.theta_n, report.bound, report.majorant, report.margin)
+    table = np.column_stack([c.values for c in curves])
+    expect = "t,theta,theta_n,bound,majorant,margin\n" + per_value_rows(spec.times, table)
+    assert path.read_bytes() == expect.encode()

@@ -246,3 +246,48 @@ def test_apply_delayed_prefix_is_the_leading_rows(rng, size, h):
     # a 2-D f is taken column by column
     both = W.apply_delayed(a_pre, np.column_stack([f_pre, 2.0 * f_pre]))
     assert np.array_equal(both, np.column_stack([got, W.apply_delayed(a_pre, 2.0 * f_pre)]))
+
+
+@pytest.mark.parametrize("size", [1, 2, 17, 40, 49])
+@pytest.mark.parametrize("i0, i1", [(0, 48), (1, 48), (5, 30), (17, 17), (30, 48), (40, 44)])
+def test_apply_rows_matches_rows_of_the_dense_array(rng, size, i0, i1):
+    # prefixes shorter and longer than the rows; a row reads no column past it
+    spec = GridSpec(t_end=1.0, n_points=48)
+    W = build_singular_weights(spec, 0.35)
+    f = random_piecewise_linear(rng, spec).horizon_values[:size]
+    padded = np.zeros(spec.n_points + 1)
+    padded[:size] = f
+    dense = W.matrix()[i0 : i1 + 1] @ padded
+    got = W.apply_rows(f, i0, i1)
+    assert got.shape == (i1 - i0 + 1,)
+    assert np.allclose(got, dense, rtol=1e-13, atol=1e-15)
+    # a 2-D f is taken column by column
+    both = W.apply_rows(np.column_stack([f, -3.0 * f]), i0, i1)
+    assert np.array_equal(both, np.column_stack([got, W.apply_rows(-3.0 * f, i0, i1)]))
+
+
+@pytest.mark.parametrize("j", [0, 1, 9, 30, 48])
+def test_apply_rows_nan_reaches_only_later_rows(rng, j):
+    spec = GridSpec(t_end=1.0, n_points=48)
+    W = build_singular_weights(spec, 0.6)
+    f = random_piecewise_linear(rng, spec).horizon_values.copy()
+    clean = W.apply_rows(f, 0, 48)
+    f[j] = np.nan
+    got = W.apply_rows(f, 0, 48)
+    assert np.isnan(got[j:]).all()
+    assert np.array_equal(got[:j], clean[:j])
+    # rows of a later block see it as well, without a mask
+    assert np.isnan(W.apply_rows(f[: j + 1], j, 48)).all()
+
+
+def test_apply_rows_zero_leading_values_give_exact_zeros():
+    # the kappa-difference curve is a certified forcing: exactly 0 where the
+    # two problems agree, which an FFT's round-off of either sign would break
+    spec = GridSpec(t_end=1.0, n_points=256)
+    W = build_singular_weights(spec, 0.4)
+    f = np.zeros(spec.n_points + 1)
+    f[100:] = np.linspace(1.0, 1e6, spec.n_points - 99)
+    got = W.apply_rows(f, 0, spec.n_points)
+    assert np.all(got[:100] == 0.0)
+    assert np.all(got[100:] > 0.0)
+    assert np.allclose(got, W.matrix() @ f, rtol=1e-13, atol=0.0)

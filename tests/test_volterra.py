@@ -1082,7 +1082,8 @@ def test_t_dependent_full_prefix_probes_once_then_calls_per_row_block(monkeypatc
 
 
 def test_picard_builds_one_window_block_per_window(monkeypatch):
-    # the in-window weights are one Toeplitz block shared by every sweep
+    # the in-window weights are one Toeplitz block shared by every sweep of
+    # every window, and a t-free history is a correlation that lays out none
     import delvol.volterra as volterra
     from delvol.quadrature import SingularWeights
 
@@ -1102,8 +1103,34 @@ def test_picard_builds_one_window_block_per_window(monkeypatch):
     sweeps = len(starts) - 1  # the first store is the initial load
     windows = len(set(starts[1:]))
     assert windows == 8  # the last of them holds 8 nodes, not 16
-    assert len(blocks) == windows + 1  # one frozen history each, one shared window block
+    assert blocks == [(1, 16, 1, 16)]  # one block per t-free solve
     assert sweeps > 2 * len(blocks)
+
+
+def test_picard_evaluates_each_t_free_value_once(monkeypatch):
+    # a counting kernel sees the in-window sweeps, one fill pair per node
+    # (node 0 at load, each window once it converged) and one left-limit pair
+    # per s = h split, and no more: no history evaluates a solved pair again
+    import delvol.volterra as volterra
+
+    pairs, starts = [], []
+    prob = _t_free_problem(lambda t, s, *rest: pairs.append(np.size(s)) or _sine_lag(t, s, *rest))
+    real_store = volterra._RowEngine.store
+    monkeypatch.setattr(
+        volterra._RowEngine, "store",
+        lambda self, start, seg: starts.append(start) or real_store(self, start, seg),
+    )
+    spec, step = prob.spec, 10
+    n, m = spec.n_points, spec.delay_steps
+    picard_solve(prob, SolverConfig(delta=step * spec.dt, force_delta=True))
+    expect = n + 1  # the fills
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        sweeps = starts[1:].count(lo + 1)  # the first store is the initial load
+        expect += sweeps * (hi - lo)
+        expect += m <= lo  # the history holds node m: one split
+        expect += sweeps * (lo < m <= hi)  # node m in the window: a split per sweep
+    assert sum(pairs) == expect
 
 
 def test_picard_window_block_keeps_solutions_of_per_window_blocks(monkeypatch):
