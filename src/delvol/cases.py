@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import HypothesisError, ParameterError
-from .grid import GridFunction, GridSpec
+from .grid import GridFunction, GridSpec, _csv_rows
 from .volterra import GeneratorKernel, SolverConfig, VolterraProblem, picard_solve
 
 __all__ = [
@@ -165,10 +165,12 @@ class BlowupReport:
             for line in header_lines:
                 fh.write(f"# {line}\n")
             fh.write("epsilon,lower_bound,xi_near_1,resolution\n")
-            for eps, lb in zip(self.cutoffs, self.lower_bounds):
-                for n in self.resolutions:
-                    xi = self.xi_near_1[(eps, n)]
-                    fh.write(f"{eps:.17g},{lb:.17g},{xi:.17g},{n}\n")
+            rows = [
+                (eps, lb, self.xi_near_1[(eps, n)], n)
+                for eps, lb in zip(self.cutoffs, self.lower_bounds)
+                for n in self.resolutions
+            ]
+            fh.write(_csv_rows(np.array(rows, dtype=float).reshape(-1, 4)))
             fh.write(f"# verdict: {self.verdict}\n")
 
 

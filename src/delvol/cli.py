@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .cases import ExampleParams, blowup_diagnostic
-from .errors import ConvergenceError, DelvolError, EvaluationError
+from .errors import ConvergenceError, DelvolError, EvaluationError, StructuralError
 from .estimates import corollary_check, young_check
 from .grid import GridFunction, GridSpec
 from .gronwall import GronwallProblem, _check_nonnegative, certify, gronwall_bound
@@ -151,6 +151,8 @@ class RunConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if not key:
                 raise ConfigError(f"empty key in line {raw!r}")
+            if key in entries:
+                raise ConfigError(f"repeated config key {key!r} in line {raw!r}")
             entries[key] = value
             source.append(f"{key} = {value}")
         return cls(entries, source)
@@ -212,7 +214,10 @@ def build_function(cfg: RunConfig, key: str, spec: GridSpec) -> GridFunction:
         path = Path(args[0])
         if not path.exists():
             raise ConfigError(f"table file does not exist: {path}")
-        return GridFunction.read_csv(path, spec)
+        try:
+            return GridFunction.read_csv(path, spec)
+        except StructuralError as exc:
+            raise StructuralError(f"{key}: {exc}") from exc
     raise ConfigError(f"unknown function selector {name!r} for {key!r}")
 
 

@@ -28,7 +28,7 @@ def _inv(p: float) -> float:
 
 def _check_exponent_relation(p, q, r):
     for name, e in (("p", p), ("q", q), ("r", r)):
-        if e != math.inf and e < 1.0:
+        if not 1.0 <= e <= math.inf:  # False for nan
             raise ParameterError(f"exponent {name} must be >= 1 or inf, got {e}")
     if abs(_inv(p) + 1.0 - _inv(q) - _inv(r)) > 1e-12:
         raise ParameterError(
@@ -89,14 +89,14 @@ def corollary_check(
     """
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
-    if r < 1.0 or r >= 1.0 / (1.0 - beta):
+    if not 1.0 <= r < 1.0 / (1.0 - beta):  # False for nan
         raise HypothesisError(
             f"requires 1 <= r < 1/(1-beta) = {1.0 / (1.0 - beta)}, got r={r}"
         )
     _check_exponent_relation(p, q, r)
     spec = phi.spec
     i_a, i_b = spec.index_at(a), spec.index_at(b)
-    if delta <= 0.0 or delta > b - a + 1e-12 * max(1.0, b - a):
+    if not 0.0 < delta <= b - a + 1e-12 * max(1.0, b - a):  # False for nan
         raise ParameterError(f"delta must lie in (0, b-a], got {delta}")
     n_win = i_b - i_a
     shifted_spec = GridSpec(t_end=b - a, n_points=n_win, h=0.0)

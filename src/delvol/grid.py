@@ -76,7 +76,12 @@ class GridSpec:
 
     def index_at(self, t: float) -> int:
         """Node index of a grid-aligned time; raises if t is off the grid."""
-        i = int(round(t / self.dt)) + self.delay_steps
+        steps = t / self.dt
+        if not abs(steps) < math.inf:  # nan, +-inf, or a time whose step count overflows
+            raise DomainError(
+                f"time {t} is not a finite time in [{self.t_start}, {self.t_end}]"
+            )
+        i = int(round(steps)) + self.delay_steps
         if i < 0 or i >= self.n_nodes:
             raise DomainError(f"time {t} outside [{self.t_start}, {self.t_end}]")
         if abs(t - self.times[i]) > _ALIGN_RTOL * max(1.0, self.dt):
@@ -225,6 +230,8 @@ class GridFunction:
             raise StructuralError(
                 f"CSV has {arr.shape[0]} rows, grid has {spec.n_nodes} nodes"
             )
+        if arr.shape[1] < 2:
+            raise StructuralError("CSV has a t column but no value column")
         off = np.max(np.abs(arr[:, 0] - spec.times))
         if off > _ALIGN_RTOL * max(1.0, spec.t_end, spec.h):
             raise StructuralError(

@@ -92,6 +92,8 @@ class GronwallProblem:
         if self.spec.delay_steps < 1:
             raise HypothesisError("delay h must be positive and span >= 1 step")
         for g, label in ((self.L, "L"), (self.theta, "theta")):
+            if g.values.ndim != 1:
+                raise StructuralError(f"{label} must be scalar-valued, got {g.dim} components")
             if not np.all(np.isfinite(g.values)):
                 raise ParameterError(f"{label} must be finite at every node")
         if np.any(self.L.values < 0.0) or np.any(self.theta.values < 0.0):

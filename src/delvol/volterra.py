@@ -5,24 +5,21 @@ Solves
     xi(t) = zeta(t) + int_0^t kappa(t, s, xi(s), xi(s-h), u(s)) (t-s)^(nu-1) ds,
     xi(t) = 0 on [-h, 0],
 
-by Picard iteration over contraction windows.  The quadrature row sums (the
-frozen history of a window, one application of the state operator, and the
-kappa-difference curve of the stability check) go through ``_block_sum``,
-which also splits the delay jump cell at s = h.  One kernel call at the last
-row picks one of two paths.  An s-shaped answer (kappa ignores t) serves
-every row and lays out no weights: a full prefix of the state operator is
-one lower-triangular Toeplitz product by FFT
-(``SingularWeights.apply_horizon``), and any other sum, the kappa-difference
-curve and a non-finite answer included, is one direct correlation with the
-stencil (``SingularWeights.apply_rows``).  Picard keeps the s-shaped values
-of its solved nodes, so a t-free history calls no kernel at all.  An answer
-with a row axis (kappa reads t) is called again per block of rows and summed
-row by row against the weights ``SingularWeights.block`` lays out.  The
-in-window part of a Picard sweep is one row block, so each window prepares
-it once (``_window_sweep``) against the corner of one weight block built per
-solve.  The generator kappa carries its growth and Lipschitz envelopes (L0,
-L, u0, omega) so the well-posedness estimates can be evaluated against the
-certified comparison machinery.
+by Picard iteration over contraction windows.  Loading a state makes one
+kernel call, whose answer decides once whether kappa reads t
+(``_RowEngine.t_free``).  The quadrature row sums (the frozen history of a
+window, one application of the state operator, and the kappa-difference curve
+of the stability check) are plain prefix sums in ``_block_sum``, which follows
+that decision and splits the delay jump cell at s = h: a kernel that ignores t
+gives one row of values, summed by FFT or direct correlation with no weights
+laid out (Picard keeps those of its solved nodes, so a t-free history calls no
+kernel), and one that reads t is called per block of rows and summed against
+the weights ``SingularWeights.block`` lays out.  The in-window part of a
+Picard sweep is one row block, so each window prepares it once
+(``_window_sweep``) against the corner of one weight block built per solve.
+The generator kappa carries its growth and Lipschitz envelopes (L0, L, u0,
+omega) so the well-posedness estimates can be evaluated against the certified
+comparison machinery.
 
 Kernel contract: ``kappa(t, s, xi, xi_h, u)`` is vectorized.  s, xi, xi_h
 and u are same-length arrays along the s-axis (xi and xi_h are (C, dim) for
@@ -32,8 +29,9 @@ states, which broadcasts against the s-axis arrays.  The answer is either
 s-shaped, (C,) or (C, dim), which says kappa ignores t and one row of values
 serves every row time, or it carries a leading row axis and broadcasts to
 (R, C) or (R, C, dim).  A scalar answer is broadcast to the s shape; any
-other shape raises ``StructuralError``.  Values at s > t are never used, so
-a kernel may be undefined there.
+other shape raises ``StructuralError``, and so does an answer with a row axis
+from a kernel whose first answer was s-shaped.  Values at s > t are never
+used, so a kernel may be undefined there.
 """
 
 from __future__ import annotations
@@ -303,13 +301,20 @@ class _RowEngine:
         self.u = prob.control.horizon_values
 
     def load(self, z: np.ndarray) -> "_RowEngine":
-        """Sample at a copy of state z (horizon values) and its lag z(. - h)."""
+        """Sample at a copy of state z (horizon values) and its lag z(. - h).
+
+        One kernel call, ``origin`` at node 0 and t_1 (s <= t, and t = 0 is
+        never a row time), decides ``t_free``; every later answer keeps it.
+        """
         self.state = np.zeros((self.m + len(z),) + np.shape(z)[1:])
         self.z = self.state[self.m :]
         self.ndim = self.z.ndim  # of an answer that ignores t: (C,) or (C, dim)
         self.store(0, z)
         # no sweep writes node 0, so whether the lag jumps is fixed here
         self.jumps = self.m > 0 and bool(np.any(self.z[0] != 0.0))
+        self.t_free = False  # the first answer may take either shape
+        self.origin = self.values(slice(1, 2), slice(0, 1))
+        self.t_free = self.origin.ndim == self.ndim
         return self
 
     def store(self, start: int, seg: np.ndarray) -> None:
@@ -322,7 +327,8 @@ class _RowEngine:
         t goes in as a column that broadcasts against the s-axis arrays, and
         the other arguments are views of the state, so each call reads the
         live iterate.  The answer is s-shaped when kappa ignores t, else it
-        has a leading row axis (see the module docstring for the contract).
+        has a leading row axis (see the module docstring for the contract);
+        once ``t_free`` is set, a row axis raises ``StructuralError``.
         """
         t = self.t[rows].reshape((-1,) + (1,) * self.ndim)
         lag = self.state[js] * 0.0 if left_limit else self.state[js]
@@ -332,18 +338,19 @@ class _RowEngine:
 
         def call() -> np.ndarray:
             vals = np.asarray(self.kappa(*args), dtype=float)
-            if vals.shape == shape or vals.shape == full:
+            if vals.shape == shape or (vals.shape == full and not self.t_free):
                 return vals
             if vals.ndim == 0:
                 return np.broadcast_to(vals, shape)
-            if vals.ndim == len(full):
+            if vals.ndim == len(full) and not self.t_free:
                 try:
                     return np.broadcast_to(vals, full)
                 except ValueError:
                     pass
-            raise StructuralError(
-                f"kernel answer has shape {vals.shape}; expected {shape}, {full} or a scalar"
-            )
+            want = f"{shape}, {full} or a scalar"
+            if self.t_free:
+                want = f"{shape} or a scalar, as its first answer ignored t"
+            raise StructuralError(f"kernel answer has shape {vals.shape}; expected {want}")
 
         return call
 
@@ -371,14 +378,15 @@ class _KappaDifference:
         self.weights, self.m = eng1.weights, eng1.m
         self.ndim = 1  # |difference| is one number per pair, also for vector states
         self.jumps = eng1.jumps or eng2.jumps
+        self.t_free = eng1.t_free and eng2.t_free
 
     def values(self, rows: slice, js: slice, left_limit: bool = False) -> np.ndarray:
         d = self.eng1.values(rows, js, left_limit) - self.eng2.values(rows, js, left_limit)
         return np.abs(d) if self.eng1.ndim == 1 else np.linalg.norm(d, axis=-1)
 
 
-def _weighted_rows(w: np.ndarray, vals: np.ndarray, r0: int, lo: int, ndim: int) -> np.ndarray:
-    """Row sums of the weight block w (rows r0.., columns lo..) against kappa values.
+def _weighted_rows(w: np.ndarray, vals: np.ndarray, r0: int, ndim: int) -> np.ndarray:
+    """Row sums of the weight block w (rows r0.., columns 0..) against kappa values.
 
     An s-shaped answer (``vals.ndim == ndim``) serves every row through one
     matvec; an answer with a row axis is summed row by row (einsum), and only
@@ -394,7 +402,7 @@ def _weighted_rows(w: np.ndarray, vals: np.ndarray, r0: int, lo: int, ndim: int)
             return out
     elif np.isfinite(vals).all():  # C values; checked first, as matmul warns on 0 * inf
         return w @ vals
-    keep = np.arange(lo, lo + w.shape[1]) <= np.arange(r0, r0 + len(w))[:, None]
+    keep = np.arange(w.shape[1]) <= np.arange(r0, r0 + len(w))[:, None]
     vals = np.where(keep.reshape(keep.shape + (1,) * (ndim - 1)), vals, 0.0)
     return np.einsum("rc,rc...->r...", w, vals)
 
@@ -415,92 +423,71 @@ def _split_cell(g, acc: np.ndarray, r0: int, r1: int, lo: int, vals: np.ndarray)
     acc[k:] += wr.reshape((-1,) + (1,) * (acc.ndim - 1)) * (left - right)
 
 
-def _block_sum(g, i0: int, i1: int, lo: int, hi: int, known=None) -> np.ndarray:
-    """Rows i0..i1 of sum_{lo <= j <= min(hi, i)} w[i][j] g(t_i, s_j), s = h cell split.
+def _block_sum(g, i0: int, i1: int, hi: int, known=None) -> np.ndarray:
+    """Rows i0..i1 of sum_{0 <= j <= min(hi, i)} w[i][j] g(t_i, s_j), s = h cell split.
 
-    ``known`` holds s-shaped kernel values of columns lo.. when the caller
-    has them (the Picard history).  Otherwise one kappa call at the last row
-    t_{i1}, over every column of the sum (all at s <= t there), picks one of
-    two paths:
+    A plain prefix sum that follows the integrand's ``t_free``, decided once
+    when its state was loaded:
 
-    * an s-shaped answer (kappa ignores t) serves every row.  A full prefix
-      (lo = 0, hi >= i1) of an integrand with ``fft_prefix`` set is summed as
-      one lower-triangular Toeplitz product by FFT (``apply_horizon``); its
-      round-off is about eps times the largest value, of either sign, at
-      every node.  Any other prefix sum, or a non-finite answer, is one
-      direct correlation (``apply_rows``): exact zeros stay zero, and a nan
-      at s_j reaches only the rows i >= j.  A sum from lo > 0 (in-window, as
-      the reference of ``_window_sweep``) is one matvec against its block;
-    * an answer with a row axis (kappa reads t) is evaluated again per row
-      block and summed row by row against ``SingularWeights.block``.  A row
-      block holds at most ``_PAIR_BUDGET`` (t, s) pairs.
+    * kappa ignores t: one row of values serves every row.  They are
+      ``known`` when the caller kept them (the Picard history), else one
+      kappa call at the last row t_{i1}, over every column of the sum (all at
+      s <= t there).  A full prefix (hi >= i1) of an integrand with
+      ``fft_prefix`` set is summed as one lower-triangular Toeplitz product
+      by FFT (``apply_horizon``); its round-off is about eps times the
+      largest value, of either sign, at every node.  Any other prefix sum, or
+      a non-finite answer, is one direct correlation (``apply_rows``): exact
+      zeros stay zero, and a nan at s_j reaches only the rows i >= j;
+    * kappa reads t: it is called per row block and summed row by row
+      against ``SingularWeights.block``.  A row block holds at most
+      ``_PAIR_BUDGET`` (t, s) pairs.
 
     When the delayed trace jumps, rows i >= m of a sum whose columns hold
     node m get the split-cell correction of ``_split_cell``: once per call for
-    an s-shaped answer, once per row block otherwise.  The corrected row
+    a t-free integrand, once per row block otherwise.  The corrected row
     equals the shifted-horizon discretization of the delayed term, which the
     comparison operators use.  This is the only place the split is made.
     """
-    width = min(hi, i1) - lo + 1
-    if known is not None:
-        vals = known[lo : lo + width]
-    else:
-        vals = g.values(slice(i1, i1 + 1), slice(lo, lo + width))
-    split = g.jumps and lo <= g.m < lo + width
-    if vals.ndim == g.ndim:
-        if lo > 0:  # an in-window sum: the matvec of ``_window_sweep``
-            w = g.weights.block(i0, i1, lo, lo + width - 1)
-            acc = _weighted_rows(w, vals, i0, lo, g.ndim)
-        elif g.fft_prefix and width == i1 + 1 and np.isfinite(vals).all():
+    width = min(hi, i1) + 1
+    split = g.jumps and g.m < width
+    if g.t_free:
+        vals = g.values(slice(i1, i1 + 1), slice(0, width)) if known is None else known[:width]
+        if g.fft_prefix and width == i1 + 1 and np.isfinite(vals).all():
             acc = g.weights.apply_horizon(vals)[i0:]
         else:
             acc = g.weights.apply_rows(vals, i0, i1)
         if split:
-            _split_cell(g, acc, i0, i1, lo, vals)
+            _split_cell(g, acc, i0, i1, 0, vals)
         return acc
     step = max(1, _PAIR_BUDGET // width)
     out = []
     for r0 in range(i0, i1 + 1, step):
         r1 = min(r0 + step, i1 + 1) - 1
         c1 = min(hi, r1)
-        v = g.values(slice(r0, r1 + 1), slice(lo, c1 + 1))
-        out.append(_weighted_rows(g.weights.block(r0, r1, lo, c1), v, r0, lo, g.ndim))
+        v = g.values(slice(r0, r1 + 1), slice(0, c1 + 1))
+        out.append(_weighted_rows(g.weights.block(r0, r1, 0, c1), v, r0, g.ndim))
         if split and g.m <= c1:
-            _split_cell(g, out[-1], r0, r1, lo, v)
+            _split_cell(g, out[-1], r0, r1, 0, v)
     return np.concatenate(out)
 
 
 def _window_sweep(g: _RowEngine, i0: int, i1: int, w: np.ndarray):
-    """``_block_sum(g, i0, i1, i0, i1)`` with the weights w, prepared once per window.
+    """In-window row sums of rows and columns i0..i1 against the weights w.
 
     A window fits one kernel call (``_WINDOW_NODES``), so its rows are one
-    block, and its prepared kappa call reads the live iterate.
+    block, prepared once per window; the prepared call reads the live iterate.
     """
     kappa = g.prepare(slice(i0, i1 + 1), slice(i0, i1 + 1))
     split = g.jumps and i0 <= g.m <= i1
 
     def sweep() -> np.ndarray:
         vals = kappa()
-        acc = _weighted_rows(w, vals, i0, i0, g.ndim)
+        acc = _weighted_rows(w, vals, 0, g.ndim)  # rows and columns both start at i0
         if split:
             _split_cell(g, acc, i0, i1, i0, vals)
         return acc
 
     return sweep
-
-
-def _fill(g: _RowEngine, known: np.ndarray, i0: int, i1: int):
-    """Store kappa at the solved nodes i0..i1 into known; None if it reads t.
-
-    One call at t_{i1} (t_1 for node 0 alone, so that t = 0 is never a row
-    time), so every pair has s <= t.
-    """
-    row = max(i1, 1)
-    vals = g.values(slice(row, row + 1), slice(i0, i1 + 1))
-    if vals.ndim > g.ndim:
-        return None
-    known[i0 : i1 + 1] = vals
-    return known
 
 
 def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> GridFunction:
@@ -514,10 +501,10 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
     block serves every sweep of every window (the last, shorter window takes
     its top-left corner), and each window prepares its sweep once
     (``_window_sweep``).  The frozen history goes through ``_block_sum``.
-    While kappa answers s-shaped, its values at the solved nodes are kept
-    (``_fill``: node 0 at load, then one call per converged window), so the
-    history is one correlation over them and no solved pair is evaluated
-    again; once an answer reads t, every history probes its columns afresh.
+    When kappa ignores t, its values at the solved nodes are kept (node 0
+    from the load, then one call per converged window at its last row), so
+    the history is one correlation over them and no solved pair is
+    evaluated again.
     """
     cfg = config if config is not None else SolverConfig.auto(prob)
     spec = prob.spec
@@ -538,11 +525,14 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
     zeta = prob.zeta.horizon_values
     engine = _RowEngine(prob).load(zeta)
     window_weights = prob.weights.block(1, step, 1, step)
-    known = _fill(engine, np.empty(zeta.shape), 0, 0)
+    known = None
+    if engine.t_free:
+        known = np.empty(zeta.shape)
+        known[0] = engine.origin[0]
 
     for w_idx, lo in enumerate(range(0, n, step)):
         hi = min(lo + step, n)
-        frozen = zeta[lo + 1 : hi + 1] + _block_sum(engine, lo + 1, hi, 0, lo, known)
+        frozen = zeta[lo + 1 : hi + 1] + _block_sum(engine, lo + 1, hi, lo, known)
         sweep = _window_sweep(engine, lo + 1, hi, window_weights[: hi - lo, : hi - lo])
         current = engine.z[lo + 1 : hi + 1]
         increments = []
@@ -575,7 +565,7 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
                 window=w_idx,
             )
         if known is not None:
-            known = _fill(engine, known, lo + 1, hi)
+            known[lo + 1 : hi + 1] = engine.values(slice(hi, hi + 1), slice(lo + 1, hi + 1))
     return GridFunction(spec, engine.state)
 
 
@@ -585,7 +575,7 @@ def apply_state_operator(prob: VolterraProblem, z: GridFunction) -> GridFunction
         raise StructuralError("iterate does not live on the problem grid")
     engine = _RowEngine(prob).load(z.horizon_values)
     out = prob.zeta.horizon_values.copy()
-    out[1:] += _block_sum(engine, 1, prob.spec.n_points, 0, prob.spec.n_points)
+    out[1:] += _block_sum(engine, 1, prob.spec.n_points, prob.spec.n_points)
     return GridFunction.from_horizon_values(prob.spec, out)
 
 
@@ -654,7 +644,7 @@ def _kappa_difference_curve(
     )
     n = prob1.spec.n_points
     out = np.zeros(n + 1)
-    out[1:] = _block_sum(g, 1, n, 0, n)
+    out[1:] = _block_sum(g, 1, n, n)
     return GridFunction.from_horizon_values(prob1.spec, out)
 
 

@@ -205,6 +205,33 @@ def test_blowup_csv(tmp_path):
     assert len([l for l in lines if not l.startswith("#")]) == 1 + 2 * 2
 
 
+def test_blowup_csv_bytes_match_the_per_value_format(tmp_path):
+    # the table goes through the shared CSV writer; its bytes are those of
+    # the per-value f"{v:.17g}" rows, special values and integer resolutions too
+    from dataclasses import replace
+
+    from test_grid import SPECIAL_VALUES
+
+    report = blowup_diagnostic(BLOWUP_SET, [0.1, 0.05], resolutions=(128, 256))
+    cutoffs = (0.1, 1.0 / 3.0, 5e-324, 1e-300, 0.05)
+    odd = iter(SPECIAL_VALUES * 2)
+    report = replace(
+        report,
+        cutoffs=cutoffs,
+        resolutions=(128, 4096),
+        lower_bounds=(-0.0, np.inf, np.nan, 1e300, 2.5),
+        xi_near_1={(eps, n): next(odd) for eps in cutoffs for n in (128, 4096)},
+    )
+    path = tmp_path / "blowup.csv"
+    report.to_csv(path, header_lines=("seed 1",))
+    expect = "# seed 1\nepsilon,lower_bound,xi_near_1,resolution\n"
+    for eps, lb in zip(report.cutoffs, report.lower_bounds):
+        for n in report.resolutions:
+            expect += f"{eps:.17g},{lb:.17g},{report.xi_near_1[(eps, n)]:.17g},{n}\n"
+    expect += f"# verdict: {report.verdict}\n"
+    assert path.read_bytes() == expect.encode()
+
+
 def _generator_closed_form(params, t, s, xi, xi_h):
     # the generator as the module docstring writes it
     nu, delta, gamma = float(params.nu_e), float(params.delta_e), float(params.gamma_e)

@@ -330,8 +330,10 @@ SELECTOR_CONFIGS = [
 @settings(max_examples=200, deadline=None)
 def test_malformed_typed_value_is_config_error(tmp_path_factory, key, command, bad):
     # checked at parse time, whether or not the command reads the key; the
-    # small sizes keep a command that ignored the bad line short
+    # small sizes keep a command that ignored the bad line short (a key is
+    # given once: a repeated key is an error of its own)
     fast = "grid.n_points = 16\nestimates.cases = 1\nexample.epsilons = 0.1\nexample.resolutions = 16\n"
+    fast = "".join(line + "\n" for line in fast.splitlines() if not line.startswith(key + " "))
     out = tmp_path_factory.mktemp("typed")
     assert _exits_with_one_config_error(out, f"command = {command}\n{fast}{key} = {bad}\n")
 
@@ -384,8 +386,8 @@ SOLVE_LINEAR = SOLVE_SMALL + "problem.kernel = linear(0,1,0)\n"
 @pytest.mark.parametrize(
     "text, flags, field",
     [
-        (SOLVE_LINEAR + "problem.h = nan\n", [], "delay h must be finite"),
-        (SOLVE_LINEAR + "problem.h = inf\n", [], "delay h must be finite"),
+        (SOLVE_LINEAR.replace("problem.h = 0.25", "problem.h = nan"), [], "delay h must be finite"),
+        (SOLVE_LINEAR.replace("problem.h = 0.25", "problem.h = inf"), [], "delay h must be finite"),
         (SOLVE_LINEAR + "problem.T = inf\n", [], "t_end must be finite"),
         (SOLVE_LINEAR + "problem.T = nan\n", [], "t_end must be finite"),
         (SOLVE_LINEAR + "problem.p = nan\n", [], "exponent p must be finite"),
@@ -567,3 +569,31 @@ def test_grid_and_seed_flags(tmp_path):
     head = (tmp_path / "out" / "bound_report.csv").read_text().splitlines()[:2]
     assert head[0] == "# seed = 7"
     assert "n_points=64" in head[1]
+
+
+@pytest.mark.parametrize(
+    "columns, field",
+    [(2, "L must be scalar-valued"), (0, "problem.L: CSV has a t column but no value column")],
+    ids=["two-value-columns", "t-only"],
+)
+def test_non_scalar_table_exits_1_naming_its_field(tmp_path, columns, field):
+    # numpy's broadcast error (two columns) or "need at least one array to
+    # stack" (t only) used to be the whole message
+    spec = GridSpec(t_end=1.0, n_points=16, h=0.25)
+    table = np.column_stack([spec.times] + [np.zeros(spec.n_nodes)] * columns)
+    np.savetxt(tmp_path / "L.csv", table, delimiter=",", header="t,a,b"[: 1 + 2 * columns])
+    cfg = write(tmp_path, "v.cfg", VERIFY_SMALL + f"problem.L = table({tmp_path / 'L.csv'})\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--config", str(cfg), "--out", str(tmp_path / "out")])
+    lines = err.getvalue().splitlines()
+    assert code == 1 and len(lines) == 1 and lines[0].startswith("error: 1:")
+    assert field in lines[0]
+
+
+def test_repeated_key_is_config_error(tmp_path):
+    # the second line used to win silently while the header echoed both
+    text = SOLVE_SMALL + "problem.kernel = linear(0,1,0)\ngrid.n_points = 32\n"
+    assert _exits_with_one_config_error(tmp_path, text)
+    with pytest.raises(ValueError, match="repeated config key 'grid.n_points'"):
+        RunConfig.parse(text)

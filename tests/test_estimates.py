@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delvol import (
+    DomainError,
     GridFunction,
     GridSpec,
     HypothesisError,
@@ -87,6 +88,32 @@ def test_corollary_hypothesis_guard():
         corollary_check(indicator(), 0.0, 1.0, 1.0, 0.5, 2.0, 2.0, 2.0)  # r >= 2
     with pytest.raises(ParameterError):
         corollary_check(indicator(), 0.0, 1.0, 2.0, 0.5, 1.0, 2.0, 2.0)  # delta > b-a
+
+
+@pytest.mark.parametrize(
+    "args, error, match",
+    [
+        (dict(r=math.nan), HypothesisError, "r=nan"),  # returned passed=False, rhs = nan
+        (dict(q=math.nan), ParameterError, "exponent q"),  # was reported as "exponent p"
+        (dict(p=math.nan), ParameterError, "exponent p"),
+        (dict(delta=math.nan), ParameterError, "delta"),
+        (dict(a=math.nan), DomainError, "not a finite time"),
+        (dict(b=math.inf), DomainError, "not a finite time"),
+    ],
+    ids=["r", "q", "p", "delta", "a", "b"],
+)
+def test_corollary_non_finite_argument_is_named(args, error, match):
+    base = dict(a=0.0, b=1.0, delta=1.0, beta=0.5, r=1.0, p=2.0, q=2.0)
+    with pytest.raises(error, match=match):
+        corollary_check(indicator(), **{**base, **args})
+
+
+@pytest.mark.parametrize("name", ["p", "q", "r"])
+def test_young_nan_exponent_is_named(name):
+    exps = {"p": 1.0, "q": 1.0, "r": 1.0}
+    exps[name] = math.nan
+    with pytest.raises(ParameterError, match=f"exponent {name} "):
+        young_check(indicator(), indicator(), exps["p"], exps["q"], exps["r"])
 
 
 def test_corollary_random_suite():

@@ -79,6 +79,22 @@ def test_lp_norm_window_and_errors():
         lp_norm(f, 2, window=(-1.0, 0.5))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+def test_non_finite_time_is_domain_error(bad):
+    # int(round(t / dt)) raised a bare ValueError for nan and OverflowError for
+    # +-inf (and for a finite t whose step count overflows)
+    spec = GridSpec(t_end=1.0, n_points=100, h=0.5)
+    f = GridFunction.constant(spec, 2.0)
+    window = (bad, 1.0) if bad < 0.0 else (0.0, bad)  # not empty
+    for call in (
+        lambda: spec.index_at(bad),
+        lambda: f.at_time(bad),
+        lambda: lp_norm(f, 2, window=window),
+    ):
+        with pytest.raises(DomainError, match="not a finite time"):
+            call()
+
+
 def test_lp_norm_window_monotone(rng):
     spec = GridSpec(t_end=1.0, n_points=128)
     vals = rng.uniform(0.0, 3.0, spec.n_nodes)

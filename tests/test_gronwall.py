@@ -12,6 +12,7 @@ from delvol import (
     GronwallProblem,
     HypothesisError,
     ParameterError,
+    StructuralError,
     build_singular_weights,
     certify,
     comparison_constant,
@@ -63,6 +64,16 @@ def test_problem_validation():
             make_problem(L, nonfinite, nu=0.5, q=4.0)
         with pytest.raises(ParameterError):
             make_problem(nonfinite, th, nu=0.5, q=4.0)
+
+
+def test_vector_valued_L_or_theta_is_structural_error():
+    spec = GridSpec(t_end=1.0, n_points=16, h=0.5)
+    one = GridFunction.constant(spec, 1.0)
+    two = GridFunction(spec, np.column_stack([one.values, one.values]))
+    with pytest.raises(StructuralError, match="L must be scalar-valued"):
+        make_problem(two, one, nu=0.5, q=4.0)
+    with pytest.raises(StructuralError, match="theta must be scalar-valued"):
+        make_problem(one, two, nu=0.5, q=4.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

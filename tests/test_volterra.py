@@ -1019,17 +1019,18 @@ def test_full_horizon_sum_by_fft_matches_per_row_reference(monkeypatch, kappa, d
 
 
 def test_t_free_history_is_one_kernel_call_per_sum(monkeypatch):
-    # a frozen history far into the horizon spans many row blocks; the
-    # s-shaped answer of the probe at the last row serves them all
+    # a frozen history far into the horizon would span many row blocks; the
+    # s-shaped answer of one call at the last row serves them all
     import delvol.volterra as volterra
 
     monkeypatch.setattr(volterra, "_PAIR_BUDGET", 1000)
     calls = []
     prob = _t_free_problem(lambda *args: calls.append(1) or _sine_lag(*args))
     engine = volterra._RowEngine(prob).load(prob.zeta.horizon_values)
-    assert engine.jumps
-    lo, hi = 300, 360  # 301 columns: 3 rows per block, 20 blocks
-    got = volterra._block_sum(engine, lo + 1, hi, 0, lo)
+    assert engine.jumps and engine.t_free and len(calls) == 1  # the load's one call
+    calls.clear()
+    lo, hi = 300, 360  # 301 columns: 3 rows per block at this budget
+    got = volterra._block_sum(engine, lo + 1, hi, lo)
     assert len(calls) == 2  # the answer plus the left limit at s = h
     dense = prob.weights.matrix()
     W, m = prob.weights, prob.spec.delay_steps
@@ -1040,17 +1041,11 @@ def test_t_free_history_is_one_kernel_call_per_sum(monkeypatch):
     assert np.max(np.abs(got - expect)) <= 1e-13 * (1.0 + np.max(np.abs(expect)))
     calls.clear()
     apply_state_operator(prob, prob.zeta)
-    assert len(calls) == 2  # the probe at the last row and the left limit at s = h
+    assert len(calls) == 3  # the load, the last row and the left limit at s = h
 
 
-def test_t_dependent_full_prefix_probes_once_then_calls_per_row_block(monkeypatch):
-    # the probe at t_{i1} reads only pairs at s <= t; its row-axis answer sends
-    # the sum to one call per row block, and each block that holds node m adds
-    # one left-limit call for the s = h split
-    import delvol.volterra as volterra
-
-    monkeypatch.setattr(volterra, "_PAIR_BUDGET", 97)
-    calls = []
+def _t_dependent_scalar_problem(calls):
+    """A kernel that reads t and records the (t, s) of every call in calls."""
 
     def kappa(t, s, xi, xi_h, u):
         calls.append((np.ravel(t).copy(), np.array(s)))
@@ -1064,21 +1059,92 @@ def test_t_dependent_full_prefix_probes_once_then_calls_per_row_block(monkeypatc
         L=GridFunction.constant(spec, 2.0),
         u0=np.zeros(1),
     )
-    prob = make_problem(spec, kernel, zeta=_wavy(spec, 1.0))  # z(0) != 0: the lag jumps
+    return make_problem(spec, kernel, zeta=_wavy(spec, 1.0))  # z(0) != 0: the lag jumps
+
+
+def test_t_dependent_full_prefix_calls_once_per_row_block(monkeypatch):
+    # after the load's call at (t_1, s_0) the row-axis sum makes one call per
+    # row block, and each block that holds node m adds one left-limit call for
+    # the s = h split; no call probes the last row first
+    import delvol.volterra as volterra
+
+    monkeypatch.setattr(volterra, "_PAIR_BUDGET", 97)
+    calls = []
+    prob = _t_dependent_scalar_problem(calls)
+    spec = prob.spec
     got = apply_state_operator(prob, prob.zeta).horizon_values
     m, t = spec.delay_steps, spec.times[spec.delay_steps :]
-    expect = [(t[32:], t)]  # the probe: the last row over all 33 columns
+    expect = [(t[1:2], t[:1])]  # the load
     for r0 in range(1, 33, 2):  # 97 // 33 = 2 rows per block
         expect.append((t[r0 : r0 + 2], t[: r0 + 2]))
         if r0 + 1 >= m:
             expect.append((t[max(r0, m) : r0 + 2], t[m : m + 1]))
     assert len(expect) == 1 + 16 + 13
     assert len(calls) == len(expect)
-    assert calls[0][1].max() <= calls[0][0].min()
     for (ct, cs), (et, es) in zip(calls, expect):
         assert np.array_equal(ct, et) and np.array_equal(cs, es)
     ref = per_row_operator(prob, prob.zeta)
     assert np.max(np.abs(got - ref)) <= 1e-13 * (1.0 + np.max(np.abs(ref)))
+
+
+def test_t_dependent_picard_makes_only_load_history_sweep_and_split_calls(monkeypatch):
+    # windows of 5 nodes; each history is one row block at the default budget,
+    # and no window probes its history before summing it
+    import delvol.volterra as volterra
+
+    calls, starts = [], []
+    prob = _t_dependent_scalar_problem(calls)
+    real_store = volterra._RowEngine.store
+    monkeypatch.setattr(
+        volterra._RowEngine, "store",
+        lambda self, start, seg: starts.append(start) or real_store(self, start, seg),
+    )
+    spec, step = prob.spec, 5
+    picard_solve(prob, SolverConfig(delta=step * spec.dt, force_delta=True))
+    n, m, t = spec.n_points, spec.delay_steps, spec.times[spec.delay_steps :]
+    expect = [(t[1:2], t[:1])]  # the load
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        rows = t[lo + 1 : hi + 1]
+        expect.append((rows, t[: lo + 1]))  # the history
+        if m <= lo:
+            expect.append((rows, t[m : m + 1]))  # its split
+        for _ in range(starts[1:].count(lo + 1)):  # the first store is the load's
+            expect.append((rows, rows))  # a sweep
+            if lo < m <= hi:
+                expect.append((t[m : hi + 1], t[m : m + 1]))  # its split
+    assert len(calls) == len(expect)
+    for (ct, cs), (et, es) in zip(calls, expect):
+        assert np.array_equal(ct, et) and np.array_equal(cs, es)
+
+
+def test_kernel_that_gains_a_row_axis_is_structural_error():
+    # the load's s-shaped answer says kappa ignores t; a later answer with a
+    # row axis breaks that and is refused, not summed down another path
+    spec = GridSpec(t_end=1.0, n_points=32, h=0.25)
+
+    def build():
+        calls = []
+
+        def kappa(t, s, xi, xi_h, u):
+            calls.append(1)
+            out = np.asarray(xi, dtype=float) + 0.5 * np.asarray(xi_h, dtype=float)
+            return out if len(calls) == 1 else out + 0.0 * t
+
+        kernel = GeneratorKernel(
+            kappa=kappa,
+            L0=GridFunction.constant(spec, 0.0),
+            L=GridFunction.constant(spec, 1.0),
+            u0=np.zeros(1),
+        )
+        return make_problem(spec, kernel)
+
+    prob = build()
+    with pytest.raises(StructuralError, match="first answer ignored t"):
+        picard_solve(prob, SolverConfig(delta=4 * spec.dt, force_delta=True))
+    prob = build()
+    with pytest.raises(StructuralError, match="first answer ignored t"):
+        apply_state_operator(prob, _wavy(spec, 1.0))
 
 
 def test_picard_builds_one_window_block_per_window(monkeypatch):
@@ -1133,47 +1199,38 @@ def test_picard_evaluates_each_t_free_value_once(monkeypatch):
     assert sum(pairs) == expect
 
 
-def test_picard_window_block_keeps_solutions_of_per_window_blocks(monkeypatch):
-    # the shared block's corner serves the short last window; a fresh block per
-    # sweep (the reference) gives the same solution bit for bit
-    import delvol.volterra as volterra
-
+def _linear_wavy_problem():
     spec = GridSpec(t_end=1.0, n_points=120, h=0.25)
     zeta = GridFunction.from_callable(spec, lambda t: 1.0 + np.sin(4.0 * t))
-    prob = make_problem(spec, linear_kernel(spec, c1=0.5, c2=1.0), zeta=zeta)
-    cfg = SolverConfig(delta=16 * spec.dt, force_delta=True)
+    return make_problem(spec, linear_kernel(spec, c1=0.5, c2=1.0), zeta=zeta)
+
+
+@pytest.mark.parametrize(
+    "build, step",
+    [
+        (lambda: _t_free_problem(_sine_lag), 10),
+        (lambda: _t_free_problem(_vector_lag, 2), 10),
+        (_t_dependent_vector_problem, 10),
+        (_linear_wavy_problem, 16),
+    ],
+    ids=["scalar-jump", "vector", "row-axis", "linear-kernel"],
+)
+def test_window_sweep_keeps_solutions_of_per_sweep_block_sums(monkeypatch, build, step):
+    # the jump cell s = h (z(0) != 0) lies inside a window, and the last
+    # window is shorter, so its sweep takes a corner of the shared block; the
+    # reference lays out a fresh block and prepares a fresh call every sweep
+    import delvol.volterra as volterra
+
+    prob = build()
+    spec = prob.spec
+    assert spec.delay_steps % step > 1 and spec.n_points % step > 0
+    cfg = SolverConfig(delta=step * spec.dt, force_delta=True)
     xi = picard_solve(prob, cfg)
     real = volterra._window_sweep
     monkeypatch.setattr(
         volterra,
         "_window_sweep",
         lambda g, i0, i1, w: lambda: real(g, i0, i1, g.weights.block(i0, i1, i0, i1))(),
-    )
-    assert np.array_equal(picard_solve(prob, cfg).values, xi.values)
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: _t_free_problem(_sine_lag),
-        lambda: _t_free_problem(_vector_lag, 2),
-        _t_dependent_vector_problem,
-    ],
-    ids=["scalar-jump", "vector", "row-axis"],
-)
-def test_window_sweep_keeps_solutions_of_per_sweep_block_sums(monkeypatch, build):
-    # windows of 10 nodes: the jump cell s = h (z(0) != 0) lies inside one,
-    # and the last window is shorter; the reference sums every sweep afresh
-    import delvol.volterra as volterra
-
-    prob = build()
-    spec = prob.spec
-    assert spec.delay_steps % 10 > 1 and spec.n_points % 10 > 0
-    cfg = SolverConfig(delta=10 * spec.dt, force_delta=True)
-    xi = picard_solve(prob, cfg)
-    real = volterra._block_sum
-    monkeypatch.setattr(
-        volterra, "_window_sweep", lambda g, i0, i1, w: lambda: real(g, i0, i1, i0, i1)
     )
     assert np.array_equal(picard_solve(prob, cfg).values, xi.values)
 
