@@ -15,7 +15,7 @@ from .errors import (
     ParameterError,
     StructuralError,
 )
-from .grid import GridFunction, GridSpec, lp_norm, shift_by_delay
+from .grid import GridFunction, GridSpec, lp_norm
 from .special import beta, log_gamma, mittag_leffler, mittag_leffler_half
 from .quadrature import (
     SingularWeights,

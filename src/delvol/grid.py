@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError, StructuralError
 
-__all__ = ["GridSpec", "GridFunction", "lp_norm", "shift_by_delay"]
+__all__ = ["GridSpec", "GridFunction", "lp_norm"]
 
 _ALIGN_RTOL = 1e-9
 
@@ -87,10 +87,6 @@ class GridSpec:
         if abs(t - self.times[i]) > _ALIGN_RTOL * max(1.0, self.dt):
             raise DomainError(f"time {t} does not lie on a grid node")
         return i
-
-    def with_n_points(self, n_points: int) -> "GridSpec":
-        """Same horizon and delay at a different resolution."""
-        return GridSpec(t_end=self.t_end, n_points=n_points, h=self.h)
 
 
 @dataclass(frozen=True)
@@ -217,14 +213,26 @@ class GridFunction:
 
     @classmethod
     def read_csv(cls, path, spec: GridSpec) -> "GridFunction":
-        """Read a ``to_csv`` table; its t column must match ``spec.times``."""
+        """Read a ``to_csv`` table; its t column must match ``spec.times``.
+
+        A non-numeric cell, or a row whose cell count differs from the first
+        row's, raises ``StructuralError`` naming its 1-based line number.
+        """
         rows = []
         with open(path) as fh:
-            for line in fh:
+            for num, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#") or line.startswith("t,"):
                     continue
-                rows.append([float(x) for x in line.split(",")])
+                try:
+                    row = [float(x) for x in line.split(",")]
+                except ValueError as exc:
+                    raise StructuralError(f"CSV line {num}: {exc}") from None
+                if rows and len(row) != len(rows[0]):
+                    raise StructuralError(
+                        f"CSV line {num} has {len(row)} cells, the first row {len(rows[0])}"
+                    )
+                rows.append(row)
         arr = np.asarray(rows)
         if arr.shape[0] != spec.n_nodes:
             raise StructuralError(
@@ -300,12 +308,3 @@ def _lp_norm_at(f: GridFunction, window=None):
 
     return norm
 
-
-def shift_by_delay(f: GridFunction) -> GridFunction:
-    """g with g(t) = f(t - h), using the stored prehistory zeros."""
-    m = f.spec.delay_steps
-    if m == 0:
-        return f
-    vals = np.zeros_like(f.values)
-    vals[m:] = f.values[:-m]
-    return GridFunction(f.spec, vals)

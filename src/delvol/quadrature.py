@@ -8,19 +8,19 @@ piecewise-linear integrands and no kernel value is ever taken at s = t.
 Weights on a uniform grid depend only on the node distance d = i - j, so the
 full lower-triangular array is represented by two stencil vectors:
 ``w_left[d]`` (left endpoint of the cell at distance d) and ``w_right[d]``
-(right endpoint).  ``SingularWeights.block`` (a fresh block) and
-``SingularWeights.slab`` (a row block whose column slices are every weight
-block of those rows) are the two places that lay rows out from the stencils.
-Two helpers sum rows without laying any out.  ``SingularWeights.apply_rows``
-sums by direct correlation with the stencil: every product as it is, so a
-row reads only the values it weighs and zero values give exact zeros; the
-Picard history and the kappa-difference curve of the Volterra solver go
-through it.  ``SingularWeights.apply_horizon`` sums a horizon prefix by
-convolution: one FFT-based linear convolution with the stencil plus a
-rank-one boundary correction.  Every convolution in the library and the
-state-operator row sums of the Volterra solver go through it; the delay
-shift s = h + u of a delayed product lives in ``SingularWeights.apply_delayed``
-alone.
+(right endpoint).  ``SingularWeights.slab`` is the one place that lays rows
+out from the stencils: a Toeplitz row block whose column slices are every
+weight block of those rows, column 0 (w_left alone) left to the caller as a
+rank-one term.  Two helpers sum rows without laying any out.
+``SingularWeights.apply_rows`` sums by direct correlation with the stencil:
+every product as it is, so a row reads only the values it weighs and zero
+values give exact zeros; the Picard history and the kappa-difference curve of
+the Volterra solver go through it.  ``SingularWeights.apply_horizon`` sums a
+horizon prefix by convolution: one FFT-based linear convolution with the
+stencil plus a rank-one boundary correction.  Every convolution in the
+library and the state-operator row sums of the Volterra solver go through it;
+the delay shift s = h + u of a delayed product lives in
+``SingularWeights.apply_delayed`` alone.
 """
 
 from __future__ import annotations
@@ -66,12 +66,14 @@ def _linear_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class SingularWeights:
     """Lower-triangular weights approximating int_0^{t_i} f(s) (t_i - s)^(nu-1) ds.
 
-    Stored as distance stencils; ``block(i0, i1, lo, hi)`` materializes a block
-    of the conventional array, and ``slab(b)`` lays out b rows of the stencil
+    Stored as distance stencils; ``slab(b)`` lays out b rows of the stencil
     once so that any weight block of b rows (column 0 aside) is a zero-copy
-    view of it; the blocked triangular solves of ``gronwall`` read their
-    weights that way.  All weights are nonnegative, rows sum to t_i^nu / nu,
-    and first moments match the exact Beta-function value.
+    view of it.  The blocked triangular solves of ``gronwall`` and the row
+    sums of ``volterra`` that read t read their weights that way.  Row i is
+    w_left[i] at j = 0, ``_kernel[i - j]`` for 0 < j <= i (w_right[1] on the
+    diagonal) and zero for j > i, so the i = 0 row is zero.  All weights are
+    nonnegative, rows sum to t_i^nu / nu, and first moments match the exact
+    Beta-function value.
     """
 
     spec: GridSpec
@@ -96,50 +98,27 @@ class SingularWeights:
         e.flags.writeable = False
         return e
 
-    def block(self, i0: int, i1: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Weights w[i][j] for rows i0..i1 and columns lo..hi; hi defaults to i1.
+    def slab(self, rows: int, back: int | None = None) -> np.ndarray:
+        """Toeplitz layout T[r, s] = ``_kernel[r - s + back]``, zero off the stencil.
 
-        Row i is w_left[i] at j = 0, the reversed stencil ``_kernel[i - j]``
-        for 0 < j <= i (w_right[1] = ``_kernel[0]`` on the diagonal) and zero
-        for j > i, so the i = 0 row is zero.  Every row is a window of one
-        zero-padded stretch of the stencil; the result is a fresh array.
-        """
-        hi = i1 if hi is None else hi
-        d0 = i0 - hi  # smallest distance i - j in the block; d < 0 is above the diagonal
-        ext = self._kernel[max(d0, 0) : i1 - lo + 1]
-        if d0 < 0:
-            ext = np.concatenate([np.zeros(-d0), ext])
-        # row r is the reversed window ext[r : r + width]: a sliding-window view
-        # built directly, since numpy's helper costs more than a one-row block
-        shape, stride = (i1 - i0 + 1, hi - lo + 1), ext.strides[0]
-        out = np.ndarray(shape, ext.dtype, ext, strides=(stride, stride))[:, ::-1].copy()
-        if lo == 0:
-            out[:, 0] = self.w_left[i0 : i1 + 1]
-        return out
-
-    def slab(self, rows: int) -> np.ndarray:
-        """Toeplitz layout T[r, s] = ``_kernel[r - s + n]``, zero off the stencil.
-
-        T has ``rows`` rows and n + rows columns.  Weights w[i][j] of rows
-        r0 .. r0 + rows - 1 and columns 0 < j <= r0 + rows - 1 are the column
-        slice ``T[:, n - r0 + j]``: every such block of a row block is a
-        zero-copy view with unit column stride, ready for BLAS.  Column
-        j = 0 (w_left, not the stencil) is left to the caller, and so are
-        rows past n.  The result is a fresh array of O(n rows) doubles, not
+        T has ``rows`` rows and back + rows columns; back defaults to n.
+        Weights w[i][j] of rows r0 .. r0 + rows - 1 and columns
+        max(1, r0 - back) <= j <= r0 + rows - 1 are the column slice
+        ``T[:, back - r0 + j]``: every such block of a row block is a
+        zero-copy view with unit column stride, ready for BLAS.  With the
+        default every column j >= 1 of every row block is there; back = 0
+        lays out only the square block whose rows and columns start
+        together.  Column j = 0 (w_left, not the stencil) is left to the
+        caller, and so are rows past n.  The result is a fresh array, not
         cached: a problem that keeps its weights would keep it too.
         """
         n = self.spec.n_points
-        ext = np.zeros(n + 2 * rows - 1)  # the stencil reversed, zero-padded both sides
-        ext[rows - 1 : rows + n] = self._kernel[::-1]
-        window = np.lib.stride_tricks.sliding_window_view(ext, n + rows)
+        width = (n if back is None else back) + rows
+        d = min(width, n + 1)  # distances 0 .. d - 1 lie on the stencil
+        ext = np.zeros(width + rows - 1)  # the stencil reversed, zero-padded both sides
+        ext[width - d : width] = self._kernel[d - 1 :: -1]
+        window = np.lib.stride_tricks.sliding_window_view(ext, width)
         return window[::-1].copy()
-
-    def matrix(self) -> np.ndarray:
-        """Dense (n+1) x (n+1) lower-triangular weight array.
-
-        No library code calls it; it is the tests' dense reference.
-        """
-        return self.block(0, self.spec.n_points)
 
     def apply_rows(self, f: np.ndarray, i0: int, i1: int) -> np.ndarray:
         """Rows i0..i1 of g[i] = sum_{j <= min(i, k)} w[i][j] f[j] for a prefix f[0..k].

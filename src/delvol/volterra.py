@@ -14,9 +14,11 @@ that decision and splits the delay jump cell at s = h: a kernel that ignores t
 gives one row of values, summed by FFT or direct correlation with no weights
 laid out (Picard keeps those of its solved nodes, so a t-free history calls no
 kernel), and one that reads t is called per block of rows and summed against
-the weights ``SingularWeights.block`` lays out.  The in-window part of a
-Picard sweep is one row block, so each window prepares it once
-(``_window_sweep``) against the corner of one weight block built per solve.
+views of one ``SingularWeights.slab`` per solve or full-prefix sum, with
+w_left at j = 0 added as a rank-one term.  The in-window part of a Picard
+sweep is one row block, so each window prepares it once (``_window_sweep``)
+against the corner of that slab's square block; a t-free solve lays out that
+block alone.
 The generator kappa carries its growth and Lipschitz envelopes (L0, L, u0,
 omega) so the well-posedness estimates can be evaluated against the certified
 comparison machinery.
@@ -267,8 +269,8 @@ def choose_epsilon(p: float, nu: float, L: GridFunction) -> tuple[float, float, 
 
 # -- core block assembly -----------------------------------------------------
 
-# (t, s) pairs per kernel call with a row axis, and so per weight block laid
-# out for it; an s-shaped answer is summed without a block
+# (t, s) pairs per kernel call with a row axis, and so per row block of the
+# weights; an s-shaped answer is summed without laying out any
 _PAIR_BUDGET = 1 << 16
 # nodes per Picard window at most, so that an in-window sweep is one kernel
 # call.  Measured: at 256, a t-dependent sweep's 512 KiB answers made
@@ -283,7 +285,7 @@ class _RowEngine:
 
     ``_block_sum`` turns an integrand into quadrature row sums; the row layout
     (w_left at j = 0, the reversed stencil inside, w_right[1] on the diagonal)
-    lives in ``SingularWeights`` alone, which lays it out (``block``) or sums
+    lives in ``SingularWeights`` alone, which lays it out (``slab``) or sums
     by it (``apply_rows``, ``apply_horizon``).  The state is kept in the grid's
     own layout, m = h/dt zero prehistory nodes before the horizon values, so
     the lag z(s_j - h) of horizon node j is the same array read at j and can
@@ -385,10 +387,11 @@ class _KappaDifference:
         return np.abs(d) if self.eng1.ndim == 1 else np.linalg.norm(d, axis=-1)
 
 
-def _weighted_rows(w: np.ndarray, vals: np.ndarray, r0: int, ndim: int) -> np.ndarray:
-    """Row sums of the weight block w (rows r0.., columns 0..) against kappa values.
+def _weighted_rows(w: np.ndarray, vals: np.ndarray, d0: int, ndim: int) -> np.ndarray:
+    """Row sums of the weight block w against kappa values on the same columns.
 
-    An s-shaped answer (``vals.ndim == ndim``) serves every row through one
+    d0 is the distance i - j of the block's top-left entry, which places the
+    diagonal.  An s-shaped answer (``vals.ndim == ndim``) serves every row through one
     matvec; an answer with a row axis is summed row by row (einsum), and only
     its R sums are checked.  Pairs above the diagonal (s_j > t_i) carry zero
     weight, but 0 * nan is nan: a non-finite answer is masked there, so a
@@ -402,7 +405,7 @@ def _weighted_rows(w: np.ndarray, vals: np.ndarray, r0: int, ndim: int) -> np.nd
             return out
     elif np.isfinite(vals).all():  # C values; checked first, as matmul warns on 0 * inf
         return w @ vals
-    keep = np.arange(w.shape[1]) <= np.arange(r0, r0 + len(w))[:, None]
+    keep = np.arange(w.shape[1]) <= np.arange(d0, d0 + len(w))[:, None]
     vals = np.where(keep.reshape(keep.shape + (1,) * (ndim - 1)), vals, 0.0)
     return np.einsum("rc,rc...->r...", w, vals)
 
@@ -423,7 +426,7 @@ def _split_cell(g, acc: np.ndarray, r0: int, r1: int, lo: int, vals: np.ndarray)
     acc[k:] += wr.reshape((-1,) + (1,) * (acc.ndim - 1)) * (left - right)
 
 
-def _block_sum(g, i0: int, i1: int, hi: int, known=None) -> np.ndarray:
+def _block_sum(g, i0: int, i1: int, hi: int, known=None, slab=None) -> np.ndarray:
     """Rows i0..i1 of sum_{0 <= j <= min(hi, i)} w[i][j] g(t_i, s_j), s = h cell split.
 
     A plain prefix sum that follows the integrand's ``t_free``, decided once
@@ -439,8 +442,12 @@ def _block_sum(g, i0: int, i1: int, hi: int, known=None) -> np.ndarray:
       a non-finite answer, is one direct correlation (``apply_rows``): exact
       zeros stay zero, and a nan at s_j reaches only the rows i >= j;
     * kappa reads t: it is called per row block and summed row by row
-      against ``SingularWeights.block``.  A row block holds at most
-      ``_PAIR_BUDGET`` (t, s) pairs.
+      against views of a ``SingularWeights.slab``: the caller's, at least
+      i1 - i0 + 1 rows high and reaching back to column 1 (Picard lays out
+      one per solve), else one laid out here at the height of a row block.
+      Column j = 0, w_left and no part of the slab, adds the rank-one term
+      w_left[i] kappa(t_i, s_0).  A row block holds at most ``_PAIR_BUDGET``
+      (t, s) pairs.
 
     When the delayed trace jumps, rows i >= m of a sum whose columns hold
     node m get the split-cell correction of ``_split_cell``: once per call for
@@ -459,15 +466,23 @@ def _block_sum(g, i0: int, i1: int, hi: int, known=None) -> np.ndarray:
         if split:
             _split_cell(g, acc, i0, i1, 0, vals)
         return acc
-    step = max(1, _PAIR_BUDGET // width)
+    step = min(max(1, _PAIR_BUDGET // width), i1 - i0 + 1)
+    if slab is None:
+        slab = g.weights.slab(step)
+    back = slab.shape[1] - len(slab)
     out = []
     for r0 in range(i0, i1 + 1, step):
         r1 = min(r0 + step, i1 + 1) - 1
         c1 = min(hi, r1)
         v = g.values(slice(r0, r1 + 1), slice(0, c1 + 1))
-        out.append(_weighted_rows(g.weights.block(r0, r1, 0, c1), v, r0, g.ndim))
+        # column 0 apart; the rest on columns 1..c1
+        v0, v = (v[:, 0], v[:, 1:]) if v.ndim > g.ndim else (v[0], v[1:])
+        w = slab[: r1 - r0 + 1, back - r0 + 1 : back - r0 + c1 + 1]
+        acc = _weighted_rows(w, v, r0 - 1, g.ndim)
+        acc += g.weights.w_left[r0 : r1 + 1].reshape((-1,) + (1,) * (acc.ndim - 1)) * v0
         if split and g.m <= c1:
-            _split_cell(g, out[-1], r0, r1, 0, v)
+            _split_cell(g, acc, r0, r1, 1, v)
+        out.append(acc)
     return np.concatenate(out)
 
 
@@ -497,14 +512,17 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
     iterated with the already-solved history frozen, until the sup-norm
     increment falls below picard_tol relative to the iterate size.  A window
     holds at most ``_WINDOW_NODES`` nodes, which refines the certified window
-    and never hurts.  The in-window weights depend on i - j alone, so one
-    block serves every sweep of every window (the last, shorter window takes
-    its top-left corner), and each window prepares its sweep once
-    (``_window_sweep``).  The frozen history goes through ``_block_sum``.
+    and never hurts.  The weights depend on i - j alone, so one
+    ``SingularWeights.slab`` of window height serves the solve: its square
+    block at column ``back`` is the in-window block of every sweep of every
+    window (the last, shorter window takes its top-left corner), and each
+    window prepares its sweep once (``_window_sweep``).  The frozen history
+    goes through ``_block_sum``.  When kappa reads t, the history row blocks
+    are views of the same slab, which reaches back to column 1 (back = n).
     When kappa ignores t, its values at the solved nodes are kept (node 0
     from the load, then one call per converged window at its last row), so
-    the history is one correlation over them and no solved pair is
-    evaluated again.
+    the history is one correlation over them, no solved pair is evaluated
+    again, and the slab is the square block alone (back = 0).
     """
     cfg = config if config is not None else SolverConfig.auto(prob)
     spec = prob.spec
@@ -524,7 +542,8 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
     step = max(1, min(int(delta / spec.dt), _WINDOW_NODES, n))
     zeta = prob.zeta.horizon_values
     engine = _RowEngine(prob).load(zeta)
-    window_weights = prob.weights.block(1, step, 1, step)
+    slab = prob.weights.slab(step, 0 if engine.t_free else None)
+    window_weights = slab[:, slab.shape[1] - step :]
     known = None
     if engine.t_free:
         known = np.empty(zeta.shape)
@@ -532,7 +551,7 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
 
     for w_idx, lo in enumerate(range(0, n, step)):
         hi = min(lo + step, n)
-        frozen = zeta[lo + 1 : hi + 1] + _block_sum(engine, lo + 1, hi, lo, known)
+        frozen = zeta[lo + 1 : hi + 1] + _block_sum(engine, lo + 1, hi, lo, known, slab)
         sweep = _window_sweep(engine, lo + 1, hi, window_weights[: hi - lo, : hi - lo])
         current = engine.z[lo + 1 : hi + 1]
         increments = []

@@ -17,7 +17,7 @@ from scipy.special import erfc
 
 import delvol as dv
 from delvol.cases import lower_bound_integral
-from conftest import SEED, random_piecewise_linear
+from conftest import SEED, random_piecewise_linear, weight_row, with_n_points
 
 
 def _announce(k, started, limit):
@@ -38,7 +38,7 @@ def test_criterion_1_quadrature_exactness():
             t = spec.times
             b2 = dv.beta(2.0, nu)
             for i in range(1, n + 1):
-                row = W.block(i, i)[0]
+                row = weight_row(W, i)
                 rs = row.sum()
                 assert abs(rs - t[i] ** nu / nu) <= 1e-10 * (t[i] ** nu / nu)
                 fm = float(np.dot(row, t[: i + 1]))
@@ -129,7 +129,7 @@ def _suite_problem(case, n_points):
 
 
 def _refined(problem, factor=2):
-    spec2 = problem.spec.with_n_points(problem.spec.n_points * factor)
+    spec2 = with_n_points(problem.spec, problem.spec.n_points * factor)
     t_old = problem.spec.times[problem.spec.delay_steps :]
     t_new = spec2.times[spec2.delay_steps :]
     interp = lambda g: dv.GridFunction.from_horizon_values(

@@ -591,6 +591,27 @@ def test_non_scalar_table_exits_1_naming_its_field(tmp_path, columns, field):
     assert field in lines[0]
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [("0.0625,0,7", "problem.L: CSV line 7 has 3 cells, the first row 2"),
+     ("0.0625,abc", "problem.L: CSV line 7: could not convert string to float: 'abc'")],
+    ids=["extra-cell", "non-numeric"],
+)
+def test_malformed_table_exits_1_naming_its_key_and_line(tmp_path, bad, message):
+    # numpy's "inhomogeneous shape" and float()'s message used to be all of it
+    spec = GridSpec(t_end=1.0, n_points=16, h=0.25)
+    lines = ["t,value"] + [f"{t:.17g},0" for t in spec.times]
+    lines[6] = bad  # node t = 0.0625, line 7 of the file
+    (tmp_path / "L.csv").write_text("\n".join(lines) + "\n")
+    cfg = write(tmp_path, "v.cfg", VERIFY_SMALL + f"problem.L = table({tmp_path / 'L.csv'})\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--config", str(cfg), "--out", str(tmp_path / "out")])
+    lines = err.getvalue().splitlines()
+    assert code == 1 and len(lines) == 1 and lines[0].startswith("error: 1:")
+    assert lines[0].endswith(message)
+
+
 def test_repeated_key_is_config_error(tmp_path):
     # the second line used to win silently while the header echoed both
     text = SOLVE_SMALL + "problem.kernel = linear(0,1,0)\ngrid.n_points = 32\n"

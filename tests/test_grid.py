@@ -12,8 +12,8 @@ from delvol import (
     ParameterError,
     StructuralError,
     lp_norm,
-    shift_by_delay,
 )
+from conftest import shift_by_delay
 
 
 def test_spec_validation():
@@ -134,19 +134,8 @@ def test_lp_norm_refinement_second_order():
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.3)
 
 
-def test_shift_identity_and_total_lag():
-    spec0 = GridSpec(t_end=1.0, n_points=16, h=0.0)
-    f0 = GridFunction.from_callable(spec0, lambda t: t + 1.0)
-    assert shift_by_delay(f0) is f0
-
-    spec = GridSpec(t_end=1.0, n_points=16, h=1.0)
-    f = GridFunction.from_callable(spec, lambda t: t + 1.0)
-    g = shift_by_delay(f)
-    assert np.all(g.horizon_values[:-1] == 0.0)
-    assert g.at_time(1.0) == f.at_time(0.0)
-
-
 def test_shift_ramp():
+    # the reference of the delayed-convolution composition test
     spec = GridSpec(t_end=1.0, n_points=64, h=0.5)
     f = GridFunction.from_callable(spec, lambda t: t)
     g = shift_by_delay(f)
@@ -154,22 +143,6 @@ def test_shift_ramp():
     expect = np.where(t >= 0.5, t - 0.5, 0.0)
     expect[t < 0] = 0.0
     assert np.allclose(g.values, expect, atol=1e-14)
-
-
-def test_shift_linear(rng):
-    spec = GridSpec(t_end=1.0, n_points=64, h=0.25)
-    m = spec.delay_steps
-
-    def rand_fn():
-        vals = np.zeros(spec.n_nodes)
-        vals[m:] = rng.normal(size=spec.n_points + 1)
-        return GridFunction(spec, vals)
-
-    f, g = rand_fn(), rand_fn()
-    a, b = 1.7, -0.3
-    lhs = shift_by_delay(GridFunction(spec, a * f.values + b * g.values))
-    rhs = a * shift_by_delay(f).values + b * shift_by_delay(g).values
-    assert np.array_equal(lhs.values, rhs)
 
 
 def test_csv_round_trip(tmp_path, rng):

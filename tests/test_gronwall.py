@@ -27,7 +27,7 @@ from delvol import (
     step_constant_k1,
     theta_n,
 )
-from conftest import SEED, random_piecewise_linear
+from conftest import SEED, dense_weights, random_piecewise_linear, weight_row, with_n_points
 
 
 def make_problem(L, theta, nu, q):
@@ -301,12 +301,12 @@ def test_theta_n_against_explicit_row_assembly(rng):
         for k in range(1, n + 1):
             r = ell - k * m
             if r >= 1:
-                expect[ell] += K * float(np.dot(W.block(r, r)[0], (L * th)[: r + 1]))
+                expect[ell] += K * float(np.dot(weight_row(W, r), (L * th)[: r + 1]))
         for k in range(0, n):
             r = ell - k * m - m
             if r >= 1:
                 expect[ell] += K * float(
-                    np.dot(W.block(r, r)[0], L[m : m + r + 1] * th[: r + 1])
+                    np.dot(weight_row(W, r), L[m : m + r + 1] * th[: r + 1])
                 )
     assert np.allclose(got, expect, rtol=1e-12, atol=1e-13)
 
@@ -317,11 +317,11 @@ def _dense_operators(prob):
     W = build_singular_weights(spec, prob.nu)
     m, npts = spec.delay_steps, spec.n_points
     L = prob.L.horizon_values
-    A1 = W.matrix() * L[None, :]
+    A1 = dense_weights(W) * L[None, :]
     A2 = np.zeros_like(A1)
     for i in range(m + 1, npts + 1):
         r = i - m
-        A2[i, : r + 1] = W.block(r, r)[0] * L[m : m + r + 1]
+        A2[i, : r + 1] = weight_row(W, r) * L[m : m + r + 1]
     return A1, A2
 
 
@@ -388,7 +388,7 @@ def test_lemma_row_max_matches_dense_resolvent(n, nu, rng):
     vals[(t > 0.3) & (t < 0.6)] = 0.0
     L = GridFunction.from_horizon_values(spec, vals)
     W = build_singular_weights(spec, nu)
-    A1 = W.matrix() * vals[None, :]
+    A1 = dense_weights(W) * vals[None, :]
     dense = _ratio_row_max(np.linalg.solve(np.eye(n + 1) - A1, A1), A1)
     got = _lemma_row_max(L, W)
     assert dense[-1] > 0.0
@@ -428,7 +428,7 @@ def test_lemma_constant_is_tight_on_a_dense_reference(n, nu, rng):
     spec = GridSpec(t_end=1.0, n_points=n, h=0.25)
     L = random_piecewise_linear(rng, spec)
     K = lemma1_constant(L, nu, 2.0 / nu)
-    A1 = build_singular_weights(spec, nu).matrix() * L.horizon_values[None, :]
+    A1 = dense_weights(build_singular_weights(spec, nu)) * L.horizon_values[None, :]
     R = np.linalg.solve(np.eye(n + 1) - A1, A1)
     assert np.all(R <= K * (1.0 + 1e-12) * A1)
     assert np.any(R > K * (1.0 - 1e-9) * A1)
@@ -516,7 +516,7 @@ def test_steps_curve_keeps_late_round_off_out_of_early_windows(monkeypatch, rng)
     consts = gronwall._constants(prob)
     assert consts.K_steps[-1] > 1e12
     assert abs(consts.K_steps[0] - consts.K_lemma) <= 1e-10 * consts.K_lemma
-    dense = prob.weights.matrix()
+    dense = dense_weights(prob.weights)
     monkeypatch.setattr(
         gronwall, "_steps_curve",
         lambda p, w, K: _full_horizon_steps_curve(p, w, K, dense),
@@ -617,14 +617,15 @@ def test_certify_zero_L_builds_no_dense_array(monkeypatch):
 
     prob = unit_problem(n_points=128, L_val=0.0)
     W = prob.weights
-    A1 = W.matrix() * prob.L.horizon_values[None, :]
+    A1 = dense_weights(W) * prob.L.horizon_values[None, :]
     dense = gronwall._ratio_row_max(np.linalg.solve(np.eye(A1.shape[0]) - A1, A1), A1)
 
-    def no_matrix(self):
-        raise AssertionError("dense weights built for L = 0")
+    def no_slab(self, *args):
+        raise AssertionError("weights laid out for L = 0")
 
-    monkeypatch.setattr(SingularWeights, "matrix", no_matrix)
+    monkeypatch.setattr(SingularWeights, "slab", no_slab)
     assert np.array_equal(gronwall._lemma_row_max(prob.L, W), dense)
+    monkeypatch.undo()  # the oracle lays out its slab whatever L is
     res = certify(prob)
     assert res.passed and res.report.K == 0.0
     assert res.report.K_steps == (0.0, 0.0)
@@ -761,7 +762,7 @@ def test_certify_grid_stability(rng):
         2.0 / 0.6,
     )
     res1 = certify(prob)
-    spec2 = spec.with_n_points(256)
+    spec2 = with_n_points(spec, 256)
     prob2 = make_problem(
         GridFunction.from_horizon_values(
             spec2,

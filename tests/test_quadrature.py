@@ -12,10 +12,9 @@ from delvol import (
     beta,
     build_singular_weights,
     delayed_product_convolution,
-    shift_by_delay,
     singular_convolution,
 )
-from conftest import random_piecewise_linear
+from conftest import dense_weights, random_piecewise_linear, shift_by_delay, weight_row
 
 
 def horizon_times(spec):
@@ -28,39 +27,54 @@ def test_row_identities(nu):
     W = build_singular_weights(spec, nu)
     t = horizon_times(spec)
     for i in (1, 2, 17, 64, 128):
-        row = W.block(i, i)[0]
+        row = weight_row(W, i)
         assert np.all(row >= 0.0)
         assert row.sum() == pytest.approx(t[i] ** nu / nu, rel=1e-12)
         moment = float(np.dot(row, t[: i + 1]))
         assert moment == pytest.approx(
             t[i] ** (nu + 1.0) * beta(2.0, nu), rel=1e-10
         )
-    # every partial row is the matching slice of the dense array
-    dense = W.matrix()
-    for i in (0, 1, 2, 17, 64, 128):
-        for lo in range(0, i + 1, max(1, i // 7)):
-            for hi in sorted({lo, (lo + i) // 2, i}):
-                assert np.array_equal(W.block(i, i, lo, hi)[0], dense[i, lo : hi + 1])
-    # the dense array from the stencils directly: w_left in column 0, the
+    # the rows are those of the dense array, and it equals the array built
+    # from the convolution stencil directly: w_left in column 0, the
     # stencil at distance i - j inside, zero above the diagonal and in row 0
     n = spec.n_points
     dist = np.subtract.outer(np.arange(n + 1), np.arange(n + 1))
     expect = np.where(dist >= 0, W._kernel[np.clip(dist, 0, n)], 0.0)
     expect[:, 0] = W.w_left[: n + 1]
+    dense = dense_weights(W)
     assert np.array_equal(dense, expect)
-    # every block, including those reaching above the diagonal, is a slice
-    for i0, i1, lo, hi in [
-        (1, 1, 0, 1), (0, 128, 0, 128), (5, 40, 0, 40), (17, 64, 30, 100),
-        (64, 128, 0, 63), (100, 110, 101, 128), (3, 9, 9, 9), (20, 20, 21, 30),
-    ]:
-        assert np.array_equal(W.block(i0, i1, lo, hi), dense[i0 : i1 + 1, lo : hi + 1])
+    for i in (0, 1, 2, 17, 64, 128):
+        assert np.array_equal(weight_row(W, i), dense[i, : i + 1])
+
+
+@pytest.mark.parametrize(
+    "rows, back",
+    [(1, None), (7, None), (16, None), (48, None), (49, None), (60, None),
+     (1, 0), (7, 0), (16, 0), (48, 0), (5, 12)],
+)
+def test_slab_views_are_blocks_of_the_dense_array(rows, back):
+    # row starts at every block edge and off them; back = 0 is the narrow
+    # band of a t-free Picard solve, the square block alone
+    spec = GridSpec(t_end=1.0, n_points=48, h=0.25)
+    W = build_singular_weights(spec, 0.35)
+    n = spec.n_points
+    dense = dense_weights(W)
+    T = W.slab(rows, back)
+    b = n if back is None else back
+    assert T.shape == (rows, b + rows)
+    for r0 in sorted(set(range(0, n + 1, rows)) | {1, 17, n}):
+        h = min(rows, n + 1 - r0)  # rows past n are not weights
+        lo, hi = max(1, r0 - b), min(r0 + rows - 1, n)  # column 0 is w_left
+        view = T[:h, b - r0 + lo : b - r0 + hi + 1]
+        assert view.base is T and view.strides[1] == T.itemsize
+        assert np.array_equal(view, dense[r0 : r0 + h, lo : hi + 1])
 
 
 def test_single_cell_row_sum():
     # unit step: row 1 on a dt = 1 grid reproduces the one-cell identity
     spec = GridSpec(t_end=2.0, n_points=2)
     W = build_singular_weights(spec, 0.3)
-    assert W.block(1, 1)[0].sum() == pytest.approx(1.0 / 0.3, rel=1e-13)
+    assert weight_row(W, 1).sum() == pytest.approx(1.0 / 0.3, rel=1e-13)
 
 
 def test_invalid_exponent():
@@ -211,7 +225,7 @@ def test_matrix_consistent_with_apply(rng):
     spec = GridSpec(t_end=1.0, n_points=48)
     W = build_singular_weights(spec, 0.35)
     f = random_piecewise_linear(rng, spec)
-    dense = W.matrix() @ f.horizon_values
+    dense = dense_weights(W) @ f.horizon_values
     fast = W.apply_horizon(f.horizon_values)
     assert np.allclose(dense, fast, rtol=1e-13, atol=1e-15)
 
@@ -222,7 +236,7 @@ def test_apply_horizon_prefix_is_the_leading_rows(rng, size):
     spec = GridSpec(t_end=1.0, n_points=48)
     W = build_singular_weights(spec, 0.35)
     f = random_piecewise_linear(rng, spec).horizon_values[:size]
-    dense = W.matrix()[:size, :size] @ f
+    dense = dense_weights(W)[:size, :size] @ f
     assert np.allclose(W.apply_horizon(f), dense, rtol=1e-13, atol=1e-15)
     vec = np.column_stack([f, 2.0 * f])
     both = np.column_stack([dense, 2.0 * dense])
@@ -257,7 +271,7 @@ def test_apply_rows_matches_rows_of_the_dense_array(rng, size, i0, i1):
     f = random_piecewise_linear(rng, spec).horizon_values[:size]
     padded = np.zeros(spec.n_points + 1)
     padded[:size] = f
-    dense = W.matrix()[i0 : i1 + 1] @ padded
+    dense = dense_weights(W)[i0 : i1 + 1] @ padded
     got = W.apply_rows(f, i0, i1)
     assert got.shape == (i1 - i0 + 1,)
     assert np.allclose(got, dense, rtol=1e-13, atol=1e-15)
@@ -290,4 +304,4 @@ def test_apply_rows_zero_leading_values_give_exact_zeros():
     got = W.apply_rows(f, 0, spec.n_points)
     assert np.all(got[:100] == 0.0)
     assert np.all(got[100:] > 0.0)
-    assert np.allclose(got, W.matrix() @ f, rtol=1e-13, atol=0.0)
+    assert np.allclose(got, dense_weights(W) @ f, rtol=1e-13, atol=0.0)

@@ -35,6 +35,7 @@ from delvol import (
     stability_check,
 )
 from delvol.volterra import _norm_exponent
+from conftest import dense_weights
 
 
 def linear_kernel(spec, c0=0.0, c1=0.0, c2=0.0):
@@ -789,7 +790,7 @@ def per_row_operator(prob, z):
     zh[m:] = zv[: n + 1 - m]
     u = prob.control.horizon_values
     kappa = prob.kernel.kappa
-    dense = W.matrix()
+    dense = dense_weights(W)
     out = prob.zeta.horizon_values.astype(float)
     for i in range(1, n + 1):
         vals = np.asarray(kappa(t[i], t[: i + 1], zv[: i + 1], zh[: i + 1], u[: i + 1]))
@@ -1032,7 +1033,7 @@ def test_t_free_history_is_one_kernel_call_per_sum(monkeypatch):
     lo, hi = 300, 360  # 301 columns: 3 rows per block at this budget
     got = volterra._block_sum(engine, lo + 1, hi, lo)
     assert len(calls) == 2  # the answer plus the left limit at s = h
-    dense = prob.weights.matrix()
+    dense = dense_weights(prob.weights)
     W, m = prob.weights, prob.spec.delay_steps
     vals = _sine_lag(None, engine.t, engine.z, engine.state[: len(engine.z)], None)
     left = _sine_lag(None, engine.t[m], engine.z[m], 0.0, None)
@@ -1147,17 +1148,27 @@ def test_kernel_that_gains_a_row_axis_is_structural_error():
         apply_state_operator(prob, _wavy(spec, 1.0))
 
 
+def _slab_shapes(monkeypatch) -> list:
+    """The shape of every weight layout made from now on, in order."""
+    from delvol.quadrature import SingularWeights
+
+    shapes, real = [], SingularWeights.slab
+
+    def slab(self, *args):
+        out = real(self, *args)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(SingularWeights, "slab", slab)
+    return shapes
+
+
 def test_picard_builds_one_window_block_per_window(monkeypatch):
     # the in-window weights are one Toeplitz block shared by every sweep of
     # every window, and a t-free history is a correlation that lays out none
     import delvol.volterra as volterra
-    from delvol.quadrature import SingularWeights
 
-    blocks, starts = [], []
-    real_block = SingularWeights.block
-    monkeypatch.setattr(
-        SingularWeights, "block", lambda self, *a: blocks.append(a) or real_block(self, *a)
-    )
+    blocks, starts = _slab_shapes(monkeypatch), []
     real_store = volterra._RowEngine.store
     monkeypatch.setattr(
         volterra._RowEngine, "store",
@@ -1169,8 +1180,43 @@ def test_picard_builds_one_window_block_per_window(monkeypatch):
     sweeps = len(starts) - 1  # the first store is the initial load
     windows = len(set(starts[1:]))
     assert windows == 8  # the last of them holds 8 nodes, not 16
-    assert blocks == [(1, 16, 1, 16)]  # one block per t-free solve
+    assert blocks == [(16, 16)]  # one step x step layout per t-free solve
     assert sweeps > 2 * len(blocks)
+
+
+def test_t_dependent_picard_lays_out_one_slab_per_solve(monkeypatch):
+    # every frozen-history row block and every in-window block of Example
+    # 4.14 (its kernel reads t) is a view of one slab
+    from delvol.cases import ExampleParams, example_problem
+
+    shapes = _slab_shapes(monkeypatch)
+    T = 0.9
+    spec = GridSpec(t_end=T, n_points=512, h=T)
+    prob = example_problem(ExampleParams(2 / 3, 1 / 2, 1 / 2, 1, 1 / 2), spec)
+    xi = picard_solve(prob, SolverConfig(delta=T, force_delta=True))
+    assert np.all(np.isfinite(xi.values))
+    assert shapes == [(128, 512 + 128)]  # 4 windows of 128 rows, back to column 1
+
+
+def test_t_free_picard_lays_out_no_weights_across_the_horizon():
+    # a t-free solve lays out its step x step window block alone; a layout
+    # spanning n columns would be a 128 x 2^14 array of 16.8 MB
+    import tracemalloc
+
+    from delvol.volterra import _WINDOW_NODES
+
+    n = 1 << 14
+    spec = GridSpec(t_end=1.0, n_points=n, h=0.25)
+    prob = make_problem(spec, linear_kernel(spec, c1=1.0, c2=0.5))
+    spanning = _WINDOW_NODES * n * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        xi = picard_solve(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(xi.values))
+    assert peak < spanning / 4
 
 
 def test_picard_evaluates_each_t_free_value_once(monkeypatch):
@@ -1227,10 +1273,13 @@ def test_window_sweep_keeps_solutions_of_per_sweep_block_sums(monkeypatch, build
     cfg = SolverConfig(delta=step * spec.dt, force_delta=True)
     xi = picard_solve(prob, cfg)
     real = volterra._window_sweep
+    dense = dense_weights(prob.weights)
     monkeypatch.setattr(
         volterra,
         "_window_sweep",
-        lambda g, i0, i1, w: lambda: real(g, i0, i1, g.weights.block(i0, i1, i0, i1))(),
+        lambda g, i0, i1, w: lambda: real(
+            g, i0, i1, np.ascontiguousarray(dense[i0 : i1 + 1, i0 : i1 + 1])
+        )(),
     )
     assert np.array_equal(picard_solve(prob, cfg).values, xi.values)
 
