@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cases import ExampleParams, blowup_diagnostic
+from .cases import ExampleParams, blowup_diagnostic, example_problem
 from .errors import ConvergenceError, DelvolError, EvaluationError, StructuralError
 from .estimates import corollary_check, young_check
 from .grid import GridFunction, GridSpec
@@ -246,8 +246,6 @@ def build_volterra_problem(cfg: RunConfig, spec: GridSpec) -> VolterraProblem:
     elif name == "delayed-linear":
         kernel = _linear_kernel(0.0, 0.0, 1.0, spec)
     elif name == "example414":
-        from .cases import example_problem
-
         if len(args) != 5:
             raise ConfigError(
                 "example414 kernel needs example414(nu,beta,delta,sigma,gamma)"

@@ -24,6 +24,11 @@ Constant constructions kept separate from the oracle:
     delayed term is frozen at the previous window's dominating curve and the
     non-delayed resolvent bound is applied.  The minimal K folding the
     resulting curve into the theta_n form is then the certified constant.
+
+The delay shifts in theta_n are whole windows, so with each window laid out
+as one row of m = h / dt nodes, theta_n is theta plus K times one cumulative
+sum down the rows.  The bound, fold gain and step constants follow from it in
+one pass (``_report``) behind both ``certify`` and ``gronwall_bound``.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -70,6 +76,16 @@ def _check_nonnegative(label: str, value: float) -> None:
         raise ParameterError(f"{label} must be finite and >= 0, got {value}")
 
 
+def _check_node_values(label: str, g: GridFunction) -> None:
+    """Reject a grid function unless it is scalar, finite and nonnegative at every node."""
+    if g.values.ndim != 1:
+        raise StructuralError(f"{label} must be scalar-valued, got {g.dim} components")
+    if not np.all(np.isfinite(g.values)):
+        raise ParameterError(f"{label} must be finite at every node")
+    if np.any(g.values < 0.0):
+        raise ParameterError(f"{label} must be node-wise nonnegative")
+
+
 @dataclass(frozen=True)
 class GronwallProblem:
     """Data (nu, h, q, L, theta) of the delayed comparison inequality."""
@@ -91,13 +107,8 @@ class GronwallProblem:
             raise StructuralError("problem delay differs from the grid delay")
         if self.spec.delay_steps < 1:
             raise HypothesisError("delay h must be positive and span >= 1 step")
-        for g, label in ((self.L, "L"), (self.theta, "theta")):
-            if g.values.ndim != 1:
-                raise StructuralError(f"{label} must be scalar-valued, got {g.dim} components")
-            if not np.all(np.isfinite(g.values)):
-                raise ParameterError(f"{label} must be finite at every node")
-        if np.any(self.L.values < 0.0) or np.any(self.theta.values < 0.0):
-            raise ParameterError("L and theta must be node-wise nonnegative")
+        _check_node_values("L", self.L)
+        _check_node_values("theta", self.theta)
 
     @classmethod
     def build(cls, L: GridFunction, theta: GridFunction, nu: float, q: float):
@@ -138,9 +149,8 @@ class BoundReport:
             fh.write("t,theta,theta_n,bound,majorant,margin\n")
             curves = (self.theta, self.theta_n, self.bound, self.majorant, self.margin)
             fh.write(_csv_rows(np.column_stack([spec.times] + [c.values for c in curves])))
-        sidecar = str(path)
-        sidecar = sidecar[: sidecar.rfind(".")] if "." in sidecar else sidecar
-        with open(sidecar + "_constants.txt", "w") as fh:
+        path = Path(path)
+        with open(path.with_name(path.stem + "_constants.txt"), "w") as fh:
             fh.write("K_steps = " + ", ".join(f"{k:.17g}" for k in self.K_steps) + "\n")
             fh.write(f"K = {self.K:.17g}\n")
             fh.write(f"nu1 = {self.nu1:.17g}\n")
@@ -177,6 +187,7 @@ class CertificationResult:
 def step_constant_k1(L: GridFunction, nu: float, q: float) -> float:
     """||L||_q * B((nu q - 1)/(q - 1), (nu q - 1)/(q - 1))^((q-1)/q)."""
     _check_q(q, nu)
+    _check_node_values("L", L)
     arg = (nu * q - 1.0) / (q - 1.0)
     norm = lp_norm(L, q)
     if norm == 0.0:
@@ -367,6 +378,7 @@ def lemma1_constant(L: GridFunction, nu: float, q: float) -> float:
     ``ConvergenceError``.
     """
     _check_q(q, nu)
+    _check_node_values("L", L)
     return float(_lemma_row_max(L, build_singular_weights(L.spec, nu))[-1])
 
 
@@ -376,40 +388,38 @@ def theta_n(problem: GronwallProblem, K: float) -> GridFunction:
     theta_n(t) = theta(t)
                + K sum_{k=1..n} int_0^{t-kh} L theta (t-kh-s)^(nu-1) ds
                + K sum_{k=0..n-1} int_h^{t-kh} L theta(.-h) (t-kh-s)^(nu-1) ds,
-    every integral with upper limit <= lower limit taken as 0.  For t <= h the
-    stored values are bitwise equal to theta.
+    every integral with upper limit <= lower limit taken as 0.  Both sums
+    shift by whole delay windows, so they are one window sum H
+    (``_window_sum``) and theta_n = theta + K H.  Every term of H is
+    nonnegative, and H is exactly 0 on [0, h], where the stored values are
+    therefore bitwise equal to theta.
     """
     _check_nonnegative("K", K)
-    spec, weights = problem.spec, problem.weights
-    m = spec.delay_steps
-    n = problem.n_delay_intervals
-    npts = spec.n_points
+    _, H = _window_sum(problem)
+    return GridFunction.from_horizon_values(problem.spec, problem.theta.horizon_values + K * H)
+
+
+def _delay_rows(v: np.ndarray, m: int) -> np.ndarray:
+    """v[1:] as zero-padded (W, m) rows: row k holds nodes k m + 1 .. k m + m."""
+    rows = np.zeros(-(-(v.size - 1) // m) * m)
+    rows[: v.size - 1] = v[1:]
+    return rows.reshape(-1, m)
+
+
+def _window_sum(problem: GronwallProblem) -> tuple[np.ndarray, np.ndarray]:
+    """(A1 theta, H): the convolution of L theta, and the cumulative sum down the
+    window rows (``_delay_rows``) of f = A2 theta + (A1 theta)(. - h), 0 on row 0.
+    """
+    weights = problem.weights
     direct = singular_convolution(problem.L * problem.theta, weights).horizon_values
-    lagged = delayed_product_convolution(
-        problem.L, problem.theta, weights
-    ).horizon_values
-    out = problem.theta.horizon_values.copy()
-    for k in range(1, n + 1):
-        lo = k * m + 1
-        if lo <= npts:
-            out[lo:] += K * direct[1 : npts + 1 - k * m]
-    for k in range(0, n):
-        lo = k * m + m + 1
-        if lo <= npts:
-            out[lo:] += K * lagged[m + 1 : npts + 1 - k * m]
-    return GridFunction.from_horizon_values(spec, out)
-
-
-@dataclass(frozen=True)
-class _Constants:
-    K_lemma: float
-    K1: float
-    nu1: float
-    C: float
-    n: int
-    K_steps: tuple
-    K_recommended: float
-    fold_feasible: bool
+    lagged = delayed_product_convolution(problem.L, problem.theta, weights).horizon_values
+    m = problem.spec.delay_steps
+    f = _delay_rows(lagged, m)
+    f[0] = 0.0
+    f[1:] += _delay_rows(direct, m)[:-1]
+    H = np.zeros_like(direct)
+    H[1:] = np.cumsum(f, axis=0).ravel()[: H.size - 1]
+    return direct, H
 
 
 def _window_ends(spec: GridSpec) -> list:
@@ -442,62 +452,55 @@ def _steps_curve(
     return GridFunction.from_horizon_values(problem.spec, cur)
 
 
-def _constants(problem: GronwallProblem) -> _Constants:
-    spec, weights = problem.spec, problem.weights
-    n = problem.n_delay_intervals
-    nu1 = problem.nu + (problem.nu - 1.0 / problem.q)
-    C = comparison_constant(problem.nu, nu1, spec.t_end)
-    K1 = step_constant_k1(problem.L, problem.nu, problem.q)
+def _report(problem: GronwallProblem, K: float | None) -> BoundReport:
+    """The bound with K against the oracle; K None takes the certified K.
 
-    windows = _window_ends(spec)
+    The bound theta + K (H + A1 theta) grows by the gain H + A1 theta per
+    unit K, so the method-of-steps curve folds into it with K >= excess /
+    gain, excess = curve - theta.  ``K_steps`` is, per delay window (row),
+    the max of that ratio and of the lemma's running row max.  The certified
+    K adds K1; a curve above theta where the gain vanishes raises
+    ``ConvergenceError``.
+    """
+    spec, weights, m = problem.spec, problem.weights, problem.spec.delay_steps
     ratio_max = _lemma_row_max(problem.L, weights)
-    K_lem_steps = [float(ratio_max[hi]) for _, hi in windows]
-    K_lemma = K_lem_steps[-1]
-
-    curve = _steps_curve(problem, weights, K_lemma).horizon_values
-    gain = theta_n(problem, 1.0).horizon_values - problem.theta.horizon_values
-    gain += singular_convolution(problem.L * problem.theta, weights).horizon_values
+    curve = _steps_curve(problem, weights, float(ratio_max[-1])).horizon_values
+    direct, H = _window_sum(problem)
+    gain = H + direct
     excess = curve - problem.theta.horizon_values
-
-    scale = 1.0 + float(np.max(curve))
-    fold_feasible = bool(np.all(excess[gain <= 0.0] <= 1e-12 * scale))
-    K_steps = []
-    for lo, hi in windows:
-        seg_gain = gain[lo + 1 : hi + 1]
-        seg_exc = excess[lo + 1 : hi + 1]
-        pos = seg_gain > 0.0
-        fold = float(np.max(seg_exc[pos] / seg_gain[pos])) if np.any(pos) else 0.0
-        K_steps.append(max(K_lem_steps[len(K_steps)], fold))
-    # K_steps[-1] >= K_lemma, so the lemma constant needs no place of its own
-    K_rec = max(*K_steps, K1)
-    return _Constants(
-        K_lemma, K1, nu1, C, n, tuple(K_steps), K_rec, fold_feasible
-    )
-
-
-def _build_report(problem: GronwallProblem, K: float, consts: _Constants) -> BoundReport:
+    fold = np.divide(excess, gain, out=np.zeros_like(gain), where=gain > 0.0)
+    rows = np.maximum(_delay_rows(ratio_max, m), _delay_rows(fold, m))
+    K_steps = tuple(rows.max(axis=1).tolist())
+    if K is None:
+        if not np.all(excess[gain <= 0.0] <= 1e-12 * (1.0 + float(np.max(curve)))):
+            raise ConvergenceError(
+                "steps curve exceeds theta where the bound gain vanishes; "
+                "no finite K can certify this grid problem"
+            )
+        # K_steps[-1] >= K_lemma, so the lemma constant needs no place of its own
+        K = max(*K_steps, step_constant_k1(problem.L, problem.nu, problem.q))
     tn = theta_n(problem, K)
-    bound = tn + K * singular_convolution(problem.L * problem.theta, problem.weights)
+    bound = tn + K * GridFunction.from_horizon_values(spec, direct)
     majorant = resolvent_majorant(problem)
-    margin = bound - majorant
+    nu1 = problem.nu + (problem.nu - 1.0 / problem.q)
     return BoundReport(
-        K_steps=consts.K_steps,
+        K_steps=K_steps,
         K=K,
-        nu1=consts.nu1,
-        C=consts.C,
-        n=consts.n,
+        nu1=nu1,
+        C=comparison_constant(problem.nu, nu1, spec.t_end),
+        n=problem.n_delay_intervals,
         theta=problem.theta,
         theta_n=tn,
         bound=bound,
         majorant=majorant,
-        margin=margin,
+        margin=bound - majorant,
     )
 
 
 def gronwall_bound(problem: GronwallProblem, K: float) -> BoundReport:
     """Evaluate the explicit bound with the supplied K and compare to the oracle."""
     _check_nonnegative("K", K)
-    return _build_report(problem, K, _constants(problem))
+    return _report(problem, K)
 
 
 def certify(problem: GronwallProblem, tol: float | None = None) -> CertificationResult:
@@ -510,13 +513,7 @@ def certify(problem: GronwallProblem, tol: float | None = None) -> Certification
     """
     if tol is not None:
         _check_nonnegative("tol", tol)
-    consts = _constants(problem)
-    if not consts.fold_feasible:
-        raise ConvergenceError(
-            "steps curve exceeds theta where the bound gain vanishes; "
-            "no finite K can certify this grid problem"
-        )
-    report = _build_report(problem, consts.K_recommended, consts)
+    report = _report(problem, None)
     passed, tol = report.verdict(tol)
     return CertificationResult(
         report=report,

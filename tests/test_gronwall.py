@@ -90,7 +90,32 @@ def test_non_finite_q_is_rejected_by_name(bad):
             build()
 
 
-def _no_constants(problem):
+@pytest.mark.parametrize(
+    "fn", [lemma1_constant, step_constant_k1], ids=["lemma1", "k1"]
+)
+@pytest.mark.parametrize(
+    "fill, message",
+    [
+        ("all-nan", "L must be finite at every node"),
+        ("one-inf", "L must be finite at every node"),
+        ("minus-one", "L must be node-wise nonnegative"),
+    ],
+    ids=["all-nan", "one-inf", "minus-one"],
+)
+def test_bad_L_is_rejected_by_name(fn, fill, message):
+    # unchecked, these give 0.0 or nan, or a warning and an error blaming the grid
+    spec = GridSpec(t_end=1.0, n_points=16, h=0.5)
+    one = GridFunction.constant(spec, 1.0).values
+    L = {
+        "all-nan": GridFunction.constant(spec, math.nan),
+        "one-inf": GridFunction(spec, np.where(spec.times == 0.75, math.inf, one)),
+        "minus-one": GridFunction.constant(spec, -1.0),
+    }[fill]
+    with pytest.raises(ParameterError, match=message):
+        fn(L, 0.5, 4.0)
+
+
+def _no_constants(*args):
     raise AssertionError("the argument check must come before the constants")
 
 
@@ -100,7 +125,8 @@ def test_bad_K_and_tol_are_rejected_before_the_constants(monkeypatch, bad):
 
     prob = unit_problem(n_points=16)
     report = gronwall_bound(prob, 1.0)
-    monkeypatch.setattr(gronwall, "_constants", _no_constants)
+    monkeypatch.setattr(gronwall, "_report", _no_constants)
+    monkeypatch.setattr(gronwall, "_window_sum", _no_constants)
     with pytest.raises(ParameterError, match="K must be finite"):
         gronwall_bound(prob, bad)
     with pytest.raises(ParameterError, match="tol must be finite"):
@@ -282,33 +308,61 @@ def test_theta_n_closed_form():
 
 
 def test_theta_n_against_explicit_row_assembly(rng):
-    # independent evaluation of both shifted sums from explicit weight rows
-    spec = GridSpec(t_end=1.0, n_points=96, h=0.25)
+    # independent evaluation of both shifted sums from explicit weight rows, on
+    # whole windows, a short last window (34 windows, the last of 1 node) and
+    # one-node windows (h = dt)
+    from delvol.gronwall import _lemma_row_max, _steps_curve
+
+    for n_points, h in ((96, 0.25), (100, 0.03), (64, 1.0 / 64)):
+        spec = GridSpec(t_end=1.0, n_points=n_points, h=h)
+        prob = make_problem(
+            random_piecewise_linear(rng, spec),
+            random_piecewise_linear(rng, spec),
+            0.55,
+            4.0,
+        )
+        K = 2.3
+        got = theta_n(prob, K).horizon_values
+        W = build_singular_weights(spec, prob.nu)
+        m, npts = spec.delay_steps, spec.n_points
+        n = prob.n_delay_intervals
+        L, th = prob.L.horizon_values, prob.theta.horizon_values
+        expect = th.copy()
+        for ell in range(npts + 1):
+            for k in range(1, n + 1):
+                r = ell - k * m
+                if r >= 1:
+                    expect[ell] += K * float(np.dot(weight_row(W, r), (L * th)[: r + 1]))
+            for k in range(0, n):
+                r = ell - k * m - m
+                if r >= 1:
+                    expect[ell] += K * float(
+                        np.dot(weight_row(W, r), L[m : m + r + 1] * th[: r + 1])
+                    )
+        assert np.allclose(got, expect, rtol=1e-12, atol=1e-13)
+    # K_steps on the short-last-window grid, by its per-window definition
+    spec = GridSpec(t_end=1.0, n_points=100, h=0.03)
     prob = make_problem(
         random_piecewise_linear(rng, spec),
         random_piecewise_linear(rng, spec),
         0.55,
         4.0,
     )
-    K = 2.3
-    got = theta_n(prob, K).horizon_values
-    W = build_singular_weights(spec, prob.nu)
-    m, npts = spec.delay_steps, spec.n_points
-    n = prob.n_delay_intervals
-    L, th = prob.L.horizon_values, prob.theta.horizon_values
-    expect = th.copy()
-    for ell in range(npts + 1):
-        for k in range(1, n + 1):
-            r = ell - k * m
-            if r >= 1:
-                expect[ell] += K * float(np.dot(weight_row(W, r), (L * th)[: r + 1]))
-        for k in range(0, n):
-            r = ell - k * m - m
-            if r >= 1:
-                expect[ell] += K * float(
-                    np.dot(weight_row(W, r), L[m : m + r + 1] * th[: r + 1])
-                )
-    assert np.allclose(got, expect, rtol=1e-12, atol=1e-13)
+    ratio_max = _lemma_row_max(prob.L, prob.weights)
+    curve = _steps_curve(prob, prob.weights, ratio_max[-1]).horizon_values
+    th = prob.theta.horizon_values
+    gain = theta_n(prob, 1.0).horizon_values - th
+    gain += singular_convolution(prob.L * prob.theta, prob.weights).horizon_values
+    want = []
+    for lo in range(0, spec.n_points, spec.delay_steps):
+        hi = min(lo + spec.delay_steps, spec.n_points)
+        seg_gain, seg_exc = gain[lo + 1 : hi + 1], curve[lo + 1 : hi + 1] - th[lo + 1 : hi + 1]
+        pos = seg_gain > 0.0
+        fold = float(np.max(seg_exc[pos] / seg_gain[pos])) if np.any(pos) else 0.0
+        want.append(max(float(ratio_max[hi]), fold))
+    got = gronwall_bound(prob, 0.0).K_steps
+    assert len(got) == len(want) == 34 and hi - lo == 1
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def _dense_operators(prob):
@@ -513,22 +567,23 @@ def test_steps_curve_keeps_late_round_off_out_of_early_windows(monkeypatch, rng)
         spec, np.interp(t, (0.0, 0.3, 0.7, 1.0), (1.0, 0.5, 1.5, 0.8))
     )
     prob = make_problem(L, random_piecewise_linear(rng, spec), 0.4, 5.0)
-    consts = gronwall._constants(prob)
-    assert consts.K_steps[-1] > 1e12
-    assert abs(consts.K_steps[0] - consts.K_lemma) <= 1e-10 * consts.K_lemma
+    K_lemma = gronwall._lemma_row_max(prob.L, prob.weights)[-1]
+    got = certify(prob).report
+    assert got.K_steps[-1] > 1e12
+    assert abs(got.K_steps[0] - K_lemma) <= 1e-10 * K_lemma
     dense = dense_weights(prob.weights)
     monkeypatch.setattr(
         gronwall, "_steps_curve",
         lambda p, w, K: _full_horizon_steps_curve(p, w, K, dense),
     )
-    ref = gronwall._constants(prob)
-    for got, want in zip(consts.K_steps, ref.K_steps):
-        assert abs(got - want) <= 1e-12 * want
-    assert abs(consts.K_recommended - ref.K_recommended) <= 1e-12 * ref.K_recommended
+    ref = certify(prob).report
+    for g, want in zip(got.K_steps, ref.K_steps):
+        assert abs(g - want) <= 1e-12 * want
+    assert abs(got.K - ref.K) <= 1e-12 * ref.K
     # the whole-horizon FFT curve leaks into the first window
     monkeypatch.setattr(gronwall, "_steps_curve", _full_horizon_steps_curve)
-    leaky = gronwall._constants(prob)
-    assert abs(leaky.K_steps[0] - leaky.K_lemma) > 1e-3 * leaky.K_lemma
+    leaky = gronwall_bound(prob, 0.0)
+    assert abs(leaky.K_steps[0] - K_lemma) > 1e-3 * K_lemma
 
 
 @given(data=st.data())
@@ -733,7 +788,7 @@ def test_consistency_of_constants():
 
 def test_certification_chain_white_box(rng):
     # the internal chain: oracle <= steps curve <= folded bound, node-wise
-    from delvol.gronwall import _constants, _steps_curve
+    from delvol.gronwall import _lemma_row_max, _steps_curve
 
     spec = GridSpec(t_end=1.0, n_points=192, h=0.25)
     prob = make_problem(
@@ -742,9 +797,8 @@ def test_certification_chain_white_box(rng):
         0.6,
         4.0,
     )
-    consts = _constants(prob)
     W = build_singular_weights(spec, prob.nu)
-    curve = _steps_curve(prob, W, consts.K_lemma)
+    curve = _steps_curve(prob, W, _lemma_row_max(prob.L, W)[-1])
     oracle = resolvent_majorant(prob)
     assert np.all(curve.values >= oracle.values - 1e-10 * (1.0 + oracle.values))
     res = certify(prob)
@@ -824,6 +878,16 @@ def test_bound_report_csv(tmp_path):
     assert len(lines) == 1 + res.report.bound.spec.n_nodes
     sidecar = (tmp_path / "report_constants.txt").read_text()
     assert "K_steps" in sidecar and "nu1" in sidecar
+
+
+def test_bound_report_sidecar_stays_in_the_report_directory(tmp_path):
+    # the sidecar name comes from the file name, not from a dot in a directory
+    report = gronwall_bound(unit_problem(n_points=16), 1.0)
+    out = tmp_path / "out" / "run.d"
+    out.mkdir(parents=True)
+    report.to_csv(str(out / "report"))
+    assert sorted(p.name for p in out.iterdir()) == ["report", "report_constants.txt"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["run.d"]
 
 
 def test_bound_report_csv_bytes_match_the_per_value_format(tmp_path):
