@@ -41,11 +41,12 @@ __all__ = [
 @dataclass(frozen=True)
 class ExampleParams:
     """Exponents of the concrete generator; ``delta_e`` is the square-root
-    exponent (distinct from the solver's contraction window length)."""
+    exponent (distinct from the solver's contraction window length).  The
+    defaults are Example 4.14's set, admissible for p in (3/2, 3)."""
 
-    nu_e: object  # |s-1| power, in (0, 1)
-    beta_e: object  # convolution singularity, in (0, 1); the solver exponent
-    delta_e: object  # inside the square root, in (0, 1]
+    nu_e: object = Fraction(2, 3)  # |s-1| power, in (0, 1)
+    beta_e: object = Fraction(1, 2)  # convolution singularity, in (0, 1); the solver exponent
+    delta_e: object = Fraction(1, 2)  # inside the square root, in (0, 1]
     sigma_e: object = 1  # free-term power, in (0, 1]
     gamma_e: object = Fraction(1, 2)  # |t+1| power; either sign of 1-gamma works
 
@@ -185,7 +186,9 @@ def lower_bound_integral(params: ExampleParams, eps: float) -> float:
 
 
 def blowup_diagnostic(
-    params: ExampleParams, cutoffs, resolutions=(2048, 4096)
+    params: ExampleParams,
+    cutoffs=tuple(0.1 * 2.0**-k for k in range(6)),
+    resolutions=(2048, 4096),
 ) -> BlowupReport:
     """Certify unboundedness at t = 1 for sigma = 1 and nu + beta + delta < 2.
 

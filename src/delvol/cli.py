@@ -234,58 +234,52 @@ def _linear_kernel(c0: float, c1: float, c2: float, spec: GridSpec) -> Generator
 
 
 def build_volterra_problem(cfg: RunConfig, spec: GridSpec) -> VolterraProblem:
-    name, args = parse_selector(cfg.get("problem.kernel"))
-    nu = cfg.get("problem.nu")
-    p = cfg.get("problem.p", 4.0)
-    if name == "zero":
-        kernel = _linear_kernel(0.0, 0.0, 0.0, spec)
-    elif name == "linear":
-        if len(args) != 3:
-            raise ConfigError("linear kernel needs linear(c0,c1,c2)")
-        kernel = _linear_kernel(*(_selector_number(a) for a in args), spec)
-    elif name == "delayed-linear":
-        kernel = _linear_kernel(0.0, 0.0, 1.0, spec)
-    elif name == "example414":
+    raw = cfg.get("problem.kernel")
+    name, args = parse_selector(raw)
+    if name == "example414":
         if len(args) != 5:
             raise ConfigError(
                 "example414 kernel needs example414(nu,beta,delta,sigma,gamma)"
             )
         params = ExampleParams(*(_selector_number(a) for a in args))
-        return example_problem(params, spec, p=p)
+        return example_problem(params, spec, p=cfg.get("problem.p", None))
+    if name in ("zero", "delayed-linear"):  # linear(0,0,0) and linear(0,0,1)
+        if args:
+            raise ConfigError(f"{name} kernel takes no arguments, got {raw!r}")
+        kernel = _linear_kernel(0.0, 0.0, 1.0 if name == "delayed-linear" else 0.0, spec)
+    elif name == "linear":
+        if len(args) != 3:
+            raise ConfigError("linear kernel needs linear(c0,c1,c2)")
+        kernel = _linear_kernel(*(_selector_number(a) for a in args), spec)
     else:
         raise ConfigError(f"unknown kernel selector {name!r}")
-    zeta = build_function(cfg, "problem.zeta", spec)
     return VolterraProblem(
-        zeta=zeta,
+        zeta=build_function(cfg, "problem.zeta", spec),
         kernel=kernel,
         control=GridFunction.zeros(spec),
-        nu=nu,
+        nu=cfg.get("problem.nu"),
         h=spec.h,
-        p=p,
+        p=cfg.get("problem.p", 4.0),
         spec=spec,
     )
 
 
 def build_gronwall_problem(cfg: RunConfig, spec: GridSpec) -> GronwallProblem:
-    nu = cfg.get("problem.nu")
-    if not 0.0 < nu < 1.0:
-        raise ConfigError(f"problem.nu must lie in (0, 1), got {nu}")
-    q = cfg.get("problem.q", 2.0 / nu)
-    L = build_function(cfg, "problem.L", spec)
-    theta = build_function(cfg, "problem.theta", spec)
-    return GronwallProblem(L=L, theta=theta, nu=nu, h=spec.h, q=q, spec=spec)
+    return GronwallProblem.build(
+        build_function(cfg, "problem.L", spec),
+        build_function(cfg, "problem.theta", spec),
+        cfg.get("problem.nu"),
+        cfg.get("problem.q", None),
+    )
 
 
-def build_solver_config(cfg: RunConfig, prob: VolterraProblem) -> SolverConfig:
-    """``solver.<field>`` entries set the SolverConfig field of that name."""
-    fields = {
-        key.removeprefix("solver."): value
+def _section(cfg: RunConfig, prefix: str) -> dict:
+    """{name: value} of the keys prefix + name that the config sets."""
+    return {
+        key.removeprefix(prefix): value
         for key, value in cfg.values.items()
-        if key.startswith("solver.")
+        if key.startswith(prefix)
     }
-    if "epsilon" in fields:
-        return SolverConfig(**fields)
-    return SolverConfig.auto(prob, **fields)
 
 
 def _header(cfg: RunConfig, seed: int, spec: GridSpec | None) -> list:
@@ -296,6 +290,14 @@ def _header(cfg: RunConfig, seed: int, spec: GridSpec | None) -> list:
         )
     lines.extend(cfg.source_lines)
     return lines
+
+
+def _write_text(path: Path, header: list, body: str) -> None:
+    """A text report: the header as '# ' lines, then the body as given."""
+    with open(path, "w") as fh:
+        for line in header:
+            fh.write(f"# {line}\n")
+        fh.write(body)
 
 
 def _random_piecewise_linear(rng, spec: GridSpec, lo=0.0, hi=2.0) -> GridFunction:
@@ -345,16 +347,13 @@ def run(cfg: RunConfig, out_dir: Path, seed: int, tol=None, grid_override=None) 
     if command == "solve":
         spec = build_grid(cfg, grid_override)
         prob = build_volterra_problem(cfg, spec)
-        solver_cfg = build_solver_config(cfg, prob)
-        xi = picard_solve(prob, solver_cfg)
+        xi = picard_solve(prob, SolverConfig(**_section(cfg, "solver.")))
         # solution files carry state columns xi_1..xi_n even for scalar states
         out_fn = xi if xi.values.ndim == 2 else GridFunction(spec, xi.values[:, None])
         out_fn.to_csv(out_dir / "solution.csv", header_lines=_header(cfg, seed, spec))
         residual = fixed_point_residual(prob, xi)
-        with open(out_dir / "residual.txt", "w") as fh:
-            for line in _header(cfg, seed, spec):
-                fh.write(f"# {line}\n")
-            fh.write(f"fixed_point_residual = {residual:.17g}\n")
+        body = f"fixed_point_residual = {residual:.17g}\n"
+        _write_text(out_dir / "residual.txt", _header(cfg, seed, spec), body)
         return EXIT_OK
 
     if command in ("bound", "verify"):
@@ -377,33 +376,24 @@ def run(cfg: RunConfig, out_dir: Path, seed: int, tol=None, grid_override=None) 
         return EXIT_OK if passed else EXIT_CERTIFICATION
 
     if command == "example414":
-        params = ExampleParams(
-            nu_e=cfg.get("example.nu", Fraction(2, 3)),
-            beta_e=cfg.get("example.beta", Fraction(1, 2)),
-            delta_e=cfg.get("example.delta", Fraction(1, 2)),
-            sigma_e=cfg.get("example.sigma", 1),
-            gamma_e=cfg.get("example.gamma", Fraction(1, 2)),
-        )
-        cutoffs = cfg.get("example.epsilons", tuple(0.1 * 2.0**-k for k in range(6)))
-        resolutions = cfg.get("example.resolutions", (2048, 4096))
-        report = blowup_diagnostic(params, cutoffs, resolutions)
+        example = _section(cfg, "example.")
+        grids = {
+            arg: example.pop(key)
+            for key, arg in (("epsilons", "cutoffs"), ("resolutions", "resolutions"))
+            if key in example
+        }
+        params = ExampleParams(**{f"{name}_e": value for name, value in example.items()})
+        report = blowup_diagnostic(params, **grids)
         report.to_csv(out_dir / "blowup.csv", header_lines=_header(cfg, seed, None))
-        with open(out_dir / "verdict.txt", "w") as fh:
-            for line in _header(cfg, seed, None):
-                fh.write(f"# {line}\n")
-            fh.write(report.verdict + "\n")
+        _write_text(out_dir / "verdict.txt", _header(cfg, seed, None), report.verdict + "\n")
         return EXIT_OK
 
     if command == "estimates":
         records = _estimate_suite(cfg, seed, grid_override)
         all_pass = all(r.passed for r in records)
-        with open(out_dir / "estimates_report.txt", "w") as fh:
-            for line in _header(cfg, seed, None):
-                fh.write(f"# {line}\n")
-            for record in records:
-                fh.write(record.to_text())
-                fh.write("\n")
-            fh.write(f"suite: {'pass' if all_pass else 'fail'}\n")
+        body = "".join(f"{record.to_text()}\n" for record in records)
+        body += f"suite: {'pass' if all_pass else 'fail'}\n"
+        _write_text(out_dir / "estimates_report.txt", _header(cfg, seed, None), body)
         return EXIT_OK if all_pass else EXIT_CERTIFICATION
 
     raise ConfigError(f"unhandled command {command!r}")

@@ -111,7 +111,10 @@ class GronwallProblem:
         _check_node_values("theta", self.theta)
 
     @classmethod
-    def build(cls, L: GridFunction, theta: GridFunction, nu: float, q: float):
+    def build(cls, L: GridFunction, theta: GridFunction, nu: float, q: float | None = None):
+        """The problem on L's grid; q None is 2/nu."""
+        if q is None:
+            q = 2.0 / nu if nu != 0.0 else math.nan  # __post_init__ rejects nu = 0
         return cls(L=L, theta=theta, nu=nu, h=L.spec.h, q=q, spec=L.spec)
 
     @cached_property
@@ -440,15 +443,21 @@ def _steps_curve(
     and writes only its own nodes.  The curve can grow by many decades over
     the horizon, and so the FFT round-off of a later window, which scales
     with that window's values, never reaches the nodes of an earlier one.
+    A window that leaves the float range, to inf or to the nan of an FFT
+    over inf, is +inf from there on, and so is every later node.
     """
     L = problem.L.horizon_values
     theta = problem.theta.horizon_values
     cur = theta.copy()
     for lo, hi in _window_ends(problem.spec):
         # the delayed term reads cur on nodes <= hi - m <= lo, all solved
-        forcing = theta[: hi + 1] + weights.apply_delayed(L[: hi + 1], cur[: hi + 1])
-        seg = forcing + K_lemma * weights.apply_horizon(L[: hi + 1] * forcing)
+        with np.errstate(over="ignore", invalid="ignore"):
+            forcing = theta[: hi + 1] + weights.apply_delayed(L[: hi + 1], cur[: hi + 1])
+            seg = forcing + K_lemma * weights.apply_horizon(L[: hi + 1] * forcing)
         cur[lo + 1 : hi + 1] = seg[lo + 1 :]
+        if not np.isfinite(seg[lo + 1 :]).all():
+            cur[lo + 1 :] = math.inf
+            break
     return GridFunction.from_horizon_values(problem.spec, cur)
 
 
@@ -459,7 +468,8 @@ def _report(problem: GronwallProblem, K: float | None) -> BoundReport:
     unit K, so the method-of-steps curve folds into it with K >= excess /
     gain, excess = curve - theta.  ``K_steps`` is, per delay window (row),
     the max of that ratio and of the lemma's running row max.  The certified
-    K adds K1; a curve above theta where the gain vanishes raises
+    K adds K1; a curve that overflows (+inf, and so ``K_steps``, from that
+    window on) or one above theta where the gain vanishes raises
     ``ConvergenceError``.
     """
     spec, weights, m = problem.spec, problem.weights, problem.spec.delay_steps
@@ -472,6 +482,14 @@ def _report(problem: GronwallProblem, K: float | None) -> BoundReport:
     rows = np.maximum(_delay_rows(ratio_max, m), _delay_rows(fold, m))
     K_steps = tuple(rows.max(axis=1).tolist())
     if K is None:
+        over = ~np.isfinite(curve)
+        if over.any():
+            window = (int(np.argmax(over)) - 1) // m
+            raise ConvergenceError(
+                f"method-of-steps curve overflows the float range in delay window "
+                f"{window} of {len(rows)}; no finite K can certify this grid problem",
+                window=window,
+            )
         if not np.all(excess[gain <= 0.0] <= 1e-12 * (1.0 + float(np.max(curve)))):
             raise ConvergenceError(
                 "steps curve exceeds theta where the bound gain vanishes; "

@@ -91,13 +91,6 @@ class SingularWeights:
         k.flags.writeable = False
         return k
 
-    @cached_property
-    def _edge(self) -> np.ndarray:
-        """Correction column: w_right[d+1] subtracted from the j = 0 weight."""
-        e = self.w_right[1 : self.spec.n_points + 2].copy()
-        e.flags.writeable = False
-        return e
-
     def slab(self, rows: int, back: int | None = None) -> np.ndarray:
         """Toeplitz layout T[r, s] = ``_kernel[r - s + back]``, zero off the stencil.
 
@@ -160,7 +153,7 @@ class SingularWeights:
         size = len(f)
         if f.ndim == 1:
             g = _linear_convolve(f, self._kernel[:size])[:size]
-            g -= f[0] * self._edge[:size]
+            g -= f[0] * self.w_right[1 : size + 1]
             g[0] = 0.0
             return g
         return np.stack(

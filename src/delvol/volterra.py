@@ -72,9 +72,6 @@ __all__ = [
     "check_generator_hypotheses",
 ]
 
-_DEFAULT_Q_FACTOR = 2.0  # q = 2/nu for derived comparison problems
-
-
 @dataclass(frozen=True)
 class GeneratorKernel:
     """Generator kappa with its declared growth and Lipschitz envelopes.
@@ -155,14 +152,15 @@ class VolterraProblem:
 class SolverConfig:
     """Contraction parameters and Picard controls.
 
-    ``delta`` is the window length; when None, ``picard_solve`` takes the
-    certified ``contraction_window``.  ``force_delta`` acknowledges a delta
-    larger than the certified window (plain Picard still converges on the
-    grid, only the norm-contraction guarantee is waived).  Every value must
-    be finite.
+    ``epsilon`` None takes the three-case scan (``choose_epsilon``) of the
+    problem being solved.  ``delta`` is the window length; when None,
+    ``picard_solve`` takes the certified ``contraction_window``.
+    ``force_delta`` acknowledges a delta larger than the certified window
+    (plain Picard still converges on the grid, only the norm-contraction
+    guarantee is waived).  Every value must be finite.
     """
 
-    epsilon: float = 0.0
+    epsilon: float | None = None
     delta: float | None = None
     picard_tol: float = 1e-10
     max_iter: int = 500
@@ -170,7 +168,7 @@ class SolverConfig:
 
     def __post_init__(self):
         # each comparison is False for nan, so the chains reject it too
-        if not 0.0 <= self.epsilon < math.inf:
+        if self.epsilon is not None and not 0.0 <= self.epsilon < math.inf:
             raise ParameterError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.delta is not None and not 0.0 < self.delta < math.inf:
             raise ParameterError(f"delta must be finite and > 0, got {self.delta}")
@@ -178,14 +176,6 @@ class SolverConfig:
             raise ParameterError(f"picard_tol must be finite and > 0, got {self.picard_tol}")
         if self.max_iter < 1:
             raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
-
-    @classmethod
-    def auto(cls, prob: VolterraProblem, **overrides) -> "SolverConfig":
-        eps, _, _ = choose_epsilon(prob.p, prob.nu, prob.kernel.L)
-        delta = contraction_window(prob.kernel.L, prob.nu, prob.p, eps)
-        base = dict(epsilon=eps, delta=delta)
-        base.update(overrides)
-        return cls(**base)
 
 
 def _norm_exponent(p: float, epsilon: float) -> tuple[float, float]:
@@ -524,13 +514,15 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
     the history is one correlation over them, no solved pair is evaluated
     again, and the slab is the square block alone (back = 0).
     """
-    cfg = config if config is not None else SolverConfig.auto(prob)
+    cfg = config if config is not None else SolverConfig()
     spec = prob.spec
     delta = cfg.delta
-    # auto's delta is the certified window; a forced delta waives the
-    # certificate, so its hypotheses go unchecked
-    if config is not None and (delta is None or not cfg.force_delta):
-        certified = contraction_window(prob.kernel.L, prob.nu, prob.p, cfg.epsilon)
+    # a forced delta waives the certificate, so its hypotheses go unchecked
+    if delta is None or not cfg.force_delta:
+        eps = cfg.epsilon
+        if eps is None:
+            eps, _, _ = choose_epsilon(prob.p, prob.nu, prob.kernel.L)
+        certified = contraction_window(prob.kernel.L, prob.nu, prob.p, eps)
         if delta is None:
             delta = certified
         elif delta > certified * (1.0 + 1e-9):
@@ -607,10 +599,6 @@ def fixed_point_residual(prob: VolterraProblem, xi: GridFunction) -> float:
 # -- well-posedness checks ----------------------------------------------------
 
 
-def _default_q(nu: float) -> float:
-    return _DEFAULT_Q_FACTOR / nu
-
-
 def _induced_forcing(prob: VolterraProblem) -> GridFunction:
     """|zeta| + int (L0 + L d(u, u0)) (t-s)^(nu-1) ds, the growth forcing."""
     drive = prob.kernel.L0 + prob.kernel.L * prob.control_distance()
@@ -618,8 +606,8 @@ def _induced_forcing(prob: VolterraProblem) -> GridFunction:
 
 
 def _certified_bound_norm(prob: VolterraProblem, forcing: GridFunction):
-    """||bound||_p on [-h, T], {gronwall_K, certified_margin} of certify(L, forcing, nu, 2/nu)."""
-    cert = certify(GronwallProblem.build(prob.kernel.L, forcing, prob.nu, _default_q(prob.nu)))
+    """||bound||_p on [-h, T], {gronwall_K, certified_margin} of certify(L, forcing, nu)."""
+    cert = certify(GronwallProblem.build(prob.kernel.L, forcing, prob.nu))
     bound_norm = lp_norm(cert.report.bound, prob.p, window=(prob.spec.t_start, prob.spec.t_end))
     return bound_norm, {"gronwall_K": cert.report.K, "certified_margin": cert.min_margin}
 
@@ -701,11 +689,9 @@ def difference_problem(
     xi2: GridFunction,
     q: float | None = None,
 ) -> GronwallProblem:
-    """Comparison problem satisfied by |xi1 - xi2| on the grid."""
+    """Comparison problem satisfied by |xi1 - xi2| on the grid; q None is 2/nu."""
     theta = difference_forcing(prob1, prob2, xi1, xi2)
-    return GronwallProblem.build(
-        prob1.kernel.L, theta, prob1.nu, q if q is not None else _default_q(prob1.nu)
-    )
+    return GronwallProblem.build(prob1.kernel.L, theta, prob1.nu, q)
 
 
 def stability_check(

@@ -12,7 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delvol import GridFunction, GridSpec, mittag_leffler_half
+import delvol.cli
+from delvol import (
+    ExampleParams,
+    GeneratorKernel,
+    GridFunction,
+    GridSpec,
+    GronwallProblem,
+    SolverConfig,
+    VolterraProblem,
+    blowup_diagnostic,
+    certify,
+    mittag_leffler_half,
+    picard_solve,
+)
 from delvol.cli import _SCHEMA, RunConfig, main, parse_selector, run
 
 VERIFY_ZERO_L = """
@@ -618,3 +631,66 @@ def test_repeated_key_is_config_error(tmp_path):
     assert _exits_with_one_config_error(tmp_path, text)
     with pytest.raises(ValueError, match="repeated config key 'grid.n_points'"):
         RunConfig.parse(text)
+
+
+@pytest.mark.parametrize("kernel", ["zero(5)", "delayed-linear(1,2)"])
+def test_fixed_kernels_reject_arguments(tmp_path, kernel):
+    assert _exits_with_one_config_error(tmp_path, SOLVE_SMALL + f"problem.kernel = {kernel}\n")
+
+
+@pytest.mark.parametrize("kernel", ["zero", "zero()"])
+def test_zero_kernel_without_arguments_solves(tmp_path, kernel):
+    cfg = write(tmp_path, "z.cfg", SOLVE_SMALL + f"problem.kernel = {kernel}\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def _body(path):
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+def test_library_and_cli_share_their_defaults(tmp_path, monkeypatch):
+    # each default has one owner: the library's, whichever way a run reaches it
+    spec = GridSpec(t_end=1.0, n_points=128, h=1.0)
+    prob = VolterraProblem(
+        zeta=GridFunction.constant(spec, 1.0),
+        kernel=GeneratorKernel(
+            kappa=lambda t, s, xi, xi_h, u: np.asarray(xi, dtype=float),
+            L0=GridFunction.constant(spec, 0.0),
+            L=GridFunction.constant(spec, 1.0),
+            u0=np.zeros(1),
+        ),
+        control=GridFunction.zeros(spec),
+        nu=0.5,
+        h=1.0,
+        p=4.0,
+        spec=spec,
+    )
+    assert np.array_equal(picard_solve(prob, SolverConfig()).values, picard_solve(prob).values)
+
+    # verify without problem.q: the library's q = 2/nu
+    cfg = write(tmp_path, "v.cfg", VERIFY_ACTIVE)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
+    vspec = GridSpec(t_end=1.0, n_points=128, h=0.25)
+    one = GridFunction.constant(vspec, 1.0)
+    certify(GronwallProblem.build(one, one, 0.6)).report.to_csv(tmp_path / "lib.csv")
+    for ran, lib in (("bound_report.csv", "lib.csv"), ("bound_report_constants.txt", "lib_constants.txt")):
+        assert _body(tmp_path / "v" / ran) == _body(tmp_path / lib)
+
+    # example414 without example.*: ExampleParams' set, blowup_diagnostic's grids
+    cfg = write(tmp_path, "x.cfg", "command = example414\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+    blowup_diagnostic(ExampleParams()).to_csv(tmp_path / "blowup.csv")
+    assert _body(tmp_path / "x" / "blowup.csv") == _body(tmp_path / "blowup.csv")
+
+    # an example414 kernel needs neither problem.p nor problem.nu; p is the
+    # example's admissible default, 2 in (3/2, 3)
+    seen = []
+    real = delvol.cli.picard_solve
+    monkeypatch.setattr(delvol.cli, "picard_solve", lambda pr, c: seen.append(pr.p) or real(pr, c))
+    text = (
+        "command = solve\nproblem.T = 0.9\nproblem.h = 0.45\ngrid.n_points = 32\n"
+        "problem.kernel = example414(2/3,1/2,1/2,1,1/2)\n"
+    )
+    cfg = write(tmp_path, "s.cfg", text)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+    assert seen == [2.0]

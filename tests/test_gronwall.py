@@ -852,6 +852,31 @@ def test_majorant_divergence_detected():
     assert err.value.history
 
 
+def test_overflowing_steps_curve_is_named_and_reads_inf():
+    # 257 one-node delay windows at nu = 0.4: the method-of-steps curve grows
+    # by K_lemma (1240) a window and leaves the float range, while the oracle
+    # peaks at 8.2e9.  pytest turns any escaping RuntimeWarning into an error.
+    spec = GridSpec(t_end=1.0, n_points=257, h=1.0 / 257)
+    rng = np.random.default_rng(35)
+    L = random_piecewise_linear(rng, spec, 0.0, 1.0)
+    prob = make_problem(L, random_piecewise_linear(rng, spec), 0.4, 5.0)
+    with pytest.raises(ConvergenceError, match="curve overflows the float range in delay window") as err:
+        certify(prob)
+    assert 0 < err.value.window < 257
+    K_steps = np.array(gronwall_bound(prob, 1.0).K_steps)
+    assert not np.isnan(K_steps).any()
+    assert np.isfinite(K_steps[: err.value.window]).all()
+    assert np.all(K_steps[err.value.window :] == math.inf)
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0, -0.5, math.nan])
+def test_build_with_default_q_rejects_a_bad_nu(nu):
+    spec = GridSpec(t_end=1.0, n_points=16, h=0.5)
+    one = GridFunction.constant(spec, 1.0)
+    with pytest.raises(ParameterError, match="nu must lie in"):
+        GronwallProblem.build(one, one, nu)
+
+
 def test_lemma1_divergence_detected():
     spec = GridSpec(t_end=1.0, n_points=4, h=0.5)
     with pytest.raises(ConvergenceError):

@@ -21,3 +21,13 @@ def test_readme_quick_start_runs_and_prints_what_it_states():
     assert passed == "True"
     assert round(float(min_margin), 2) == 17.78
     assert round(float(K), 1) == 451.6
+
+
+def test_readme_config_block_lists_exactly_the_schema_keys():
+    from delvol.cli import _SCHEMA
+
+    text = README.read_text()
+    block = re.search(r"Full schema:\n\n```ini\n(.*?)```", text, re.S).group(1)
+    keys = re.findall(r"^([\w.]+) =", block, re.M)
+    assert sorted(keys) == sorted(_SCHEMA)
+    assert len(keys) == 27

@@ -67,6 +67,12 @@ def abel_problem(n_points=500, T=1.0, p=4.0):
     return make_problem(spec, linear_kernel(spec, c1=1.0), p=p)
 
 
+def scanned_config(prob):
+    """The epsilon of the three-case scan and its certified window."""
+    eps, _, _ = choose_epsilon(prob.p, prob.nu, prob.kernel.L)
+    return SolverConfig(epsilon=eps, delta=contraction_window(prob.kernel.L, prob.nu, prob.p, eps))
+
+
 def delayed_problem(n_points=512):
     spec = GridSpec(t_end=1.0, n_points=n_points, h=0.5)
     return make_problem(spec, linear_kernel(spec, c2=1.0))
@@ -374,7 +380,7 @@ def test_problem_rejects_non_finite(bad):
 
 def test_fixed_point_residual_small():
     prob = abel_problem(n_points=300)
-    cfg = SolverConfig.auto(prob)
+    cfg = scanned_config(prob)
     xi = picard_solve(prob, cfg)
     res = fixed_point_residual(prob, xi)
     scale = 1.0 + float(np.max(np.abs(xi.values)))
@@ -387,7 +393,7 @@ def test_delayed_fixed_point_residual_small():
     spec = GridSpec(t_end=1.0, n_points=256, h=0.25)
     zeta = GridFunction.from_callable(spec, lambda t: 1.0 + np.sin(4.0 * t))
     prob = make_problem(spec, linear_kernel(spec, c1=0.5, c2=1.0), zeta=zeta)
-    cfg = SolverConfig.auto(prob)
+    cfg = scanned_config(prob)
     xi = picard_solve(prob, cfg)
     res = fixed_point_residual(prob, xi)
     scale = 1.0 + float(np.max(np.abs(xi.values)))
@@ -396,7 +402,7 @@ def test_delayed_fixed_point_residual_small():
 
 def test_window_independence():
     prob = abel_problem(n_points=256)
-    cfg = SolverConfig.auto(prob)
+    cfg = scanned_config(prob)
     xi1 = picard_solve(prob, cfg)
     half = SolverConfig(
         epsilon=cfg.epsilon, delta=cfg.delta / 2.0, picard_tol=cfg.picard_tol
@@ -408,7 +414,7 @@ def test_window_independence():
 
 def test_delta_override_guard():
     prob = abel_problem(n_points=128)
-    cfg = SolverConfig.auto(prob)
+    cfg = scanned_config(prob)
     with pytest.raises(ParameterError):
         picard_solve(prob, SolverConfig(epsilon=cfg.epsilon, delta=1.0))
     xi = picard_solve(
@@ -864,7 +870,7 @@ def test_kernel_undefined_above_the_diagonal_solves():
         u0=np.zeros(1),
     )
     prob = make_problem(spec, kernel)
-    cfg = SolverConfig.auto(prob)
+    cfg = scanned_config(prob)
     xi = picard_solve(prob, cfg)
     assert np.all(np.isfinite(xi.values))
     res = fixed_point_residual(prob, xi)
@@ -1296,14 +1302,15 @@ def test_auto_config_scans_epsilon_on_one_magnitude_of_L(monkeypatch):
     picard_solve(prob)
     assert sum(seen) == 2  # the scan and the chosen epsilon's window
     monkeypatch.undo()
-    cfg = SolverConfig.auto(prob)
+    eps, _, _ = choose_epsilon(prob.p, prob.nu, L)
+    delta = contraction_window(L, prob.nu, prob.p, eps)
     eps_hi = prob.nu / (1.0 - prob.nu)  # case 1 at p = 4, nu = 1/2
     candidates = [
         contraction_window(L, prob.nu, prob.p, eps_hi * k / 21.0)
         for k in range(1, 21)
     ]
-    assert cfg.delta == max(candidates)  # bitwise
-    assert cfg.epsilon == eps_hi * (1 + candidates.index(max(candidates))) / 21.0
+    assert delta == max(candidates)  # bitwise
+    assert eps == eps_hi * (1 + candidates.index(max(candidates))) / 21.0
 
 
 def test_state_operator_at_two_to_the_sixteen_nodes():
