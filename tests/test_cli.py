@@ -27,6 +27,7 @@ from delvol import (
     picard_solve,
 )
 from delvol.cli import _SCHEMA, RunConfig, main, parse_selector, run
+from conftest import delayed_linear_exact
 
 VERIFY_ZERO_L = """
 command = verify
@@ -197,6 +198,34 @@ grid.n_points = 256
     last = (out / "solution.csv").read_text().splitlines()[-1]
     xi_val = float(last.split(",")[1])
     assert xi_val == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-5)
+
+
+def test_solve_linear_converges_to_the_exact_delayed_solution(tmp_path):
+    # linear(c0, c1, c2) with c0 != 0 through main(): relative errors
+    # 1.54e-5 and 5.68e-6 (order 1.44) were measured at n = 2048 and 4096
+    cfg = write(
+        tmp_path,
+        "l.cfg",
+        """
+command = solve
+problem.nu = 0.5
+problem.h = 0.5
+problem.T = 1.0
+problem.kernel = linear(0.5,1,0.5)
+problem.zeta = constant(1)
+""",
+    )
+    exact = delayed_linear_exact(1.0, 0.5, 0.5, 1.0, 0.5, c0=0.5)
+    errors = []
+    for n in (2048, 4096):
+        out = tmp_path / f"out{n}"
+        assert main(["--config", str(cfg), "--out", str(out), "--grid", str(n)]) == 0
+        last = (out / "solution.csv").read_text().splitlines()[-1]
+        t_val, xi_val = (float(x) for x in last.split(","))
+        assert t_val == 1.0
+        errors.append(abs(xi_val - exact) / exact)
+    assert math.log2(errors[0] / errors[1]) >= 1.4
+    assert errors[1] <= 1.1 * 5.68e-6
 
 
 def test_table_round_trip_same_verdict(tmp_path):

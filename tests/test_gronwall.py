@@ -20,14 +20,21 @@ from delvol import (
     gronwall_bound,
     lemma1_constant,
     lp_norm,
-    mittag_leffler,
     mittag_leffler_half,
     resolvent_majorant,
     singular_convolution,
     step_constant_k1,
     theta_n,
 )
-from conftest import SEED, dense_weights, random_piecewise_linear, weight_row, with_n_points
+from conftest import (
+    SEED,
+    delayed_linear_exact,
+    dense_weights,
+    mittag_leffler,
+    random_piecewise_linear,
+    weight_row,
+    with_n_points,
+)
 
 
 def make_problem(L, theta, nu, q):
@@ -227,6 +234,31 @@ def test_oracle_first_window_converges_to_mittag_leffler(nu, order, err_4096):
         errors.append(abs(resolvent_majorant(prob).at_time(0.5) - exact) / exact)
     assert math.log2(errors[-2] / errors[-1]) >= order
     assert err_4096 / 2.0 <= errors[-1] <= 2.0 * err_4096
+
+
+@pytest.mark.parametrize(
+    "nu, h, order, err_8192",
+    [
+        (0.6, 1 / 4, 1.5, 7.10e-7),
+        (0.4, 1 / 4, 1.3, 1.90e-5),
+        (0.8, 1 / 4, 1.6, 2.99e-8),
+        (0.6, 1 / 16, 1.45, 1.11e-6),
+        (0.4, 1 / 16, 1.2, 3.70e-5),
+        (0.6, 1 / 256, 1.35, 1.36e-6),
+    ],
+)
+def test_oracle_converges_to_the_exact_delayed_solution(nu, h, order, err_8192):
+    # with L = theta = 1 the oracle solves x = 1 + int_0^t (x(s) + x(s - h))
+    # (t-s)^(nu-1) ds; at t = 1 every delay window and its s = h split cell
+    # count.  Orders 1.55, 1.33, 1.67, 1.50, 1.23 and 1.40 were measured
+    # between n = 4096 and 8192, and err_8192 at n = 8192
+    exact = delayed_linear_exact(1.0, nu, h, 1.0, 1.0)
+    errors = []
+    for n in (4096, 8192):
+        prob = unit_problem(n_points=n, h=h, nu=nu, q=2.0 / nu)
+        errors.append(abs(resolvent_majorant(prob).at_time(1.0) - exact) / exact)
+    assert math.log2(errors[0] / errors[1]) >= order
+    assert errors[1] <= 1.1 * err_8192
 
 
 def test_majorant_delay_inactive_prefix():
@@ -658,6 +690,17 @@ def test_bound_dominates_mittag_leffler():
     t = prob.spec.times[prob.spec.delay_steps :]
     exact = np.array([mittag_leffler_half(math.sqrt(math.pi * tt)) for tt in t])
     assert np.all(report.bound.horizon_values >= exact - 1e-6)
+
+
+def test_bound_dominates_the_exact_delayed_solution():
+    # the delayed companion of the test above: with L = theta = 1 and h = 1/4
+    # the bound must lie on or above x = 1 + int_0^t (x(s) + x(s - h))
+    # (t-s)^(nu-1) ds at every node, all four delay windows included
+    prob = unit_problem(n_points=512, h=0.25, nu=0.6, q=2.0 / 0.6)
+    bound = certify(prob).report.bound.horizon_values
+    t = prob.spec.times[prob.spec.delay_steps :]
+    exact = np.array([delayed_linear_exact(tt, 0.6, 0.25, 1.0, 1.0) for tt in t])
+    assert np.all(bound >= exact)
 
 
 def test_certify_zero_L_passes_with_zero_margin():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from delvol import ParameterError, beta, log_gamma, mittag_leffler, mittag_leffler_half
+from delvol import ParameterError, beta, log_gamma, mittag_leffler_half
+from conftest import delayed_linear_exact, mittag_leffler
 
 
 def test_log_gamma_values():
@@ -128,9 +129,31 @@ def test_general_mittag_leffler_at_order_one(z):
         assert mittag_leffler(1.0, 2.0, z) == pytest.approx(math.expm1(z) / z, rel=rel)
 
 
-def test_general_mittag_leffler_domain():
-    for args in ((0.0, 1.0, 1.0), (0.5, 0.0, 1.0), (-1.0, 1.0, 1.0), (math.nan, 1.0, 1.0),
-                 (0.5, 1.0, math.nan), (0.5, 1.0, math.inf)):
-        with pytest.raises(ParameterError):
-            mittag_leffler(*args)
+def test_mittag_leffler_half_against_scipy_over_its_domain():
+    # erfcx(x) = exp(x^2) erfc(x) carries the z < 0 side without overflow or
+    # cancellation, down to the asymptotic branch below z = -26
+    from scipy.special import erfc, erfcx
 
+    for z in np.linspace(-30.0, 0.0, 3001):
+        assert mittag_leffler_half(float(z)) == pytest.approx(erfcx(-z), rel=1e-13)
+    for z in np.linspace(0.0, 26.5, 2651):
+        ref = np.exp(z * z) * erfc(-z)
+        assert mittag_leffler_half(float(z)) == pytest.approx(ref, rel=1e-13)
+
+
+def test_non_finite_arguments():
+    with pytest.raises(ParameterError):
+        mittag_leffler_half(math.nan)
+    for args in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ParameterError):
+            beta(*args)
+    assert log_gamma(math.inf) == math.inf
+    with pytest.raises(ParameterError):
+        log_gamma(math.nan)
+
+
+def test_general_mittag_leffler_is_the_undelayed_reference():
+    # with c2 = 0 the delayed sum keeps only its first window, E_nu(c1 Gamma(nu) t^nu)
+    nu, t, c1 = 0.3, 0.8, 1.7
+    exact = delayed_linear_exact(t, nu, 0.25, c1, 0.0)
+    assert mittag_leffler(nu, 1.0, c1 * math.gamma(nu) * t**nu) == pytest.approx(exact, rel=1e-13)
