@@ -16,7 +16,7 @@ from .errors import (
     StructuralError,
 )
 from .grid import GridFunction, GridSpec, lp_norm
-from .special import beta, log_gamma, mittag_leffler_half
+from .special import beta, mittag_leffler_half
 from .quadrature import (
     SingularWeights,
     build_singular_weights,

@@ -176,7 +176,9 @@ class BlowupReport:
 
 
 def lower_bound_integral(params: ExampleParams, eps: float) -> float:
-    """int_0^{1-eps} (1-s)^-(3 - nu - beta - delta) ds in closed form."""
+    """int_0^{1-eps} (1-s)^-(3 - nu - beta - delta) ds in closed form, 0 < eps < 1."""
+    if not 0.0 < eps < 1.0:  # False for nan
+        raise ParameterError(f"cutoff eps must lie in (0, 1), got {eps}")
     expo = float(3 - (params.nu_e + params.beta_e + params.delta_e))
     if expo <= 1.0:
         raise HypothesisError(

@@ -212,12 +212,12 @@ def build_function(cfg: RunConfig, key: str, spec: GridSpec) -> GridFunction:
         if len(args) != 1:
             raise ConfigError(f"table(path) takes one argument, got {raw!r}")
         path = Path(args[0])
-        if not path.exists():
-            raise ConfigError(f"table file does not exist: {path}")
         try:
             return GridFunction.read_csv(path, spec)
         except StructuralError as exc:
             raise StructuralError(f"{key}: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{key}: cannot read table {path}: {exc}") from exc
     raise ConfigError(f"unknown function selector {name!r} for {key!r}")
 
 
@@ -418,7 +418,7 @@ def main(argv=None) -> int:
 
     try:
         text = Path(args.config).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {EXIT_CONFIG}: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -9,6 +9,7 @@ zero, so shifted arguments never need special-casing: reading index ``k - m``
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,6 +39,10 @@ class GridSpec:
         # each comparison is False for nan, so the chains reject it too
         if not 0.0 < self.t_end < math.inf:
             raise ParameterError(f"t_end must be finite and positive, got {self.t_end}")
+        try:
+            operator.index(self.n_points)
+        except TypeError:
+            raise ParameterError(f"n_points must be an integer, got {self.n_points!r}") from None
         if self.n_points < 2:
             raise ParameterError(f"n_points must be >= 2, got {self.n_points}")
         if not 0.0 <= self.h < math.inf:
@@ -116,41 +121,31 @@ class GridFunction:
 
     @classmethod
     def zeros(cls, spec: GridSpec, dim: int | None = None) -> "GridFunction":
-        shape = (spec.n_nodes,) if dim is None else (spec.n_nodes, dim)
-        return cls(spec, np.zeros(shape))
+        shape = (spec.n_points + 1,) if dim is None else (spec.n_points + 1, dim)
+        return cls.from_horizon_values(spec, np.zeros(shape))
 
     @classmethod
     def constant(cls, spec: GridSpec, c: float) -> "GridFunction":
-        vals = np.zeros(spec.n_nodes)
-        vals[spec.delay_steps :] = c
-        return cls(spec, vals)
+        return cls.from_horizon_values(spec, np.full(spec.n_points + 1, c, dtype=float))
 
     @classmethod
     def from_callable(cls, spec: GridSpec, fn) -> "GridFunction":
-        """Sample fn on the nodes of [0, t_end]; prehistory is zero."""
+        """Sample fn on the nodes of [0, t_end], per node if it does not vectorize."""
         t_pos = spec.times[spec.delay_steps :]
         sampled = np.asarray(fn(t_pos), dtype=float)
         if sampled.shape[:1] != t_pos.shape:
             sampled = np.array([fn(t) for t in t_pos], dtype=float)
-        if sampled.ndim == 1:
-            vals = np.zeros(spec.n_nodes)
-        else:
-            vals = np.zeros((spec.n_nodes, sampled.shape[1]))
-        vals[spec.delay_steps :] = sampled
-        return cls(spec, vals)
+        return cls.from_horizon_values(spec, sampled)
 
     @classmethod
     def from_horizon_values(cls, spec: GridSpec, arr) -> "GridFunction":
-        """Build from values given on the [0, t_end] nodes only."""
+        """Build from values on the [0, t_end] nodes; the prehistory nodes are zero."""
         arr = np.asarray(arr, dtype=float)
-        if arr.shape[0] != spec.n_points + 1:
+        if arr.shape[:1] != (spec.n_points + 1,):
             raise StructuralError(
-                f"expected {spec.n_points + 1} horizon values, got {arr.shape[0]}"
+                f"expected {spec.n_points + 1} horizon values, got shape {arr.shape}"
             )
-        if arr.ndim == 1:
-            vals = np.zeros(spec.n_nodes)
-        else:
-            vals = np.zeros((spec.n_nodes, arr.shape[1]))
+        vals = np.zeros((spec.n_nodes,) + arr.shape[1:])
         vals[spec.delay_steps :] = arr
         return cls(spec, vals)
 

@@ -88,23 +88,19 @@ def _check_node_values(label: str, g: GridFunction) -> None:
 
 @dataclass(frozen=True)
 class GronwallProblem:
-    """Data (nu, h, q, L, theta) of the delayed comparison inequality."""
+    """Data (L, theta, nu, q) of the delayed comparison inequality, on L's grid."""
 
     L: GridFunction
     theta: GridFunction
     nu: float
-    h: float
     q: float
-    spec: GridSpec
 
     def __post_init__(self):
         if not 0.0 < self.nu < 1.0:
             raise ParameterError(f"nu must lie in (0, 1), got {self.nu}")
         _check_q(self.q, self.nu)
-        if self.L.spec != self.spec or self.theta.spec != self.spec:
-            raise StructuralError("L and theta must live on the problem grid")
-        if abs(self.h - self.spec.h) > 1e-12 * max(1.0, self.h):
-            raise StructuralError("problem delay differs from the grid delay")
+        if self.theta.spec != self.spec:
+            raise StructuralError("theta must live on L's grid")
         if self.spec.delay_steps < 1:
             raise HypothesisError("delay h must be positive and span >= 1 step")
         _check_node_values("L", self.L)
@@ -115,7 +111,15 @@ class GronwallProblem:
         """The problem on L's grid; q None is 2/nu."""
         if q is None:
             q = 2.0 / nu if nu != 0.0 else math.nan  # __post_init__ rejects nu = 0
-        return cls(L=L, theta=theta, nu=nu, h=L.spec.h, q=q, spec=L.spec)
+        return cls(L=L, theta=theta, nu=nu, q=q)
+
+    @property
+    def spec(self) -> GridSpec:
+        return self.L.spec
+
+    @property
+    def h(self) -> float:
+        return self.L.spec.h
 
     @cached_property
     def weights(self) -> SingularWeights:

@@ -1,7 +1,7 @@
 """Special functions used by the constants and by test oracles.
 
-Built on the standard library: ln Gamma is ``math.lgamma``, Beta sums three
-of its values, and E_{1/2}(z) = exp(z^2) erfc(-z) comes from ``math.erfc``.
+Built on the standard library: Beta sums three values of ``math.lgamma``, and
+E_{1/2}(z) = exp(z^2) erfc(-z) comes from ``math.erfc``.
 """
 
 from __future__ import annotations
@@ -10,14 +10,7 @@ import math
 
 from .errors import ParameterError
 
-__all__ = ["beta", "log_gamma", "mittag_leffler_half"]
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not x > 0.0:
-        raise ParameterError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+__all__ = ["beta", "mittag_leffler_half"]
 
 
 def beta(a: float, b: float) -> float:

@@ -136,16 +136,10 @@ class VolterraProblem:
 
     def control_distance(self) -> GridFunction:
         """d(u(t), u0) sampled on the grid."""
-        diff = self.control.values - (
-            self.kernel.u0 if self.control.values.ndim == 2 else self.kernel.u0[0]
-        )
-        if diff.ndim == 2:
-            dist = np.linalg.norm(diff, axis=1)
-        else:
-            dist = np.abs(diff)
-        dist = dist.copy()
-        dist[: self.spec.delay_steps] = 0.0
-        return GridFunction(self.spec, dist)
+        u = self.control.horizon_values
+        diff = u - (self.kernel.u0 if u.ndim == 2 else self.kernel.u0[0])
+        dist = np.linalg.norm(diff, axis=1) if diff.ndim == 2 else np.abs(diff)
+        return GridFunction.from_horizon_values(self.spec, dist)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -270,3 +271,29 @@ def test_blowup_values_keep_the_direct_generator():
     report = blowup_diagnostic(BLOWUP_SET, [0.1, 0.05], resolutions=(256, 512))
     for key, want in recorded.items():
         assert report.xi_near_1[key] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ExampleParams(beta_e=1), "beta_e must lie in (0, 1)"),
+        (lambda: ExampleParams(sigma_e=0), "sigma_e must lie in (0, 1]"),
+        (lambda: blowup_diagnostic(BLOWUP_SET, [0.05, 0.1]), "cutoffs must be strictly decreasing"),
+        (
+            lambda: blowup_diagnostic(BLOWUP_SET, [0.1, 0.0]),
+            "cutoff eps must lie in (0, 1), got 0.0",
+        ),
+        (lambda: blowup_diagnostic(BLOWUP_SET, [0.1, -0.05]), "got -0.05"),
+        (lambda: lower_bound_integral(BLOWUP_SET, 1.0), "got 1.0"),
+        (lambda: lower_bound_integral(BLOWUP_SET, math.nan), "got nan"),
+    ],
+    ids=[
+        "beta", "sigma", "increasing", "zero-cutoff", "negative-cutoff", "unit-cutoff",
+        "nan-cutoff",
+    ],
+)
+def test_cases_reject_before_any_solve(monkeypatch, call, message):
+    # a zero cutoff raised ZeroDivisionError; a negative one solved past s = 1
+    monkeypatch.setattr("delvol.cases.picard_solve", lambda *args: pytest.fail("solved"))
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        call()

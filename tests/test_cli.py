@@ -335,14 +335,20 @@ def test_typed_fraction_round_trip(key, a, b):
     assert got == want and type(got) is type(want)
 
 
-def _exits_with_one_config_error(out_dir, text):
+def _exits_with_one_config_error(out_dir, text, message=""):
+    """main exits 1 on the config text (str, or bytes as written) with one
+    ``error: 1:`` line holding message."""
     cfg = out_dir / "bad.cfg"
-    cfg.write_text(text)
+    if isinstance(text, bytes):
+        cfg.write_bytes(text)
+    else:
+        cfg.write_text(text)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(["--config", str(cfg), "--out", str(out_dir / "out")])
     lines = err.getvalue().splitlines()
-    return code == 1 and len(lines) == 1 and lines[0].startswith("error: 1:")
+    one_line = len(lines) == 1 and lines[0].startswith("error: 1:")
+    return code == 1 and one_line and message in lines[0]
 
 
 # numbers no typed key or selector argument accepts
@@ -723,3 +729,63 @@ def test_library_and_cli_share_their_defaults(tmp_path, monkeypatch):
     cfg = write(tmp_path, "s.cfg", text)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
     assert seen == [2.0]
+
+
+@pytest.mark.parametrize(
+    "epsilons, message",
+    [("0.1,0", "cutoff eps must lie in (0, 1), got 0.0"), ("0.1,-0.05", "got -0.05")],
+    ids=["zero", "negative"],
+)
+def test_cutoff_outside_the_unit_interval_is_config_error(tmp_path, epsilons, message):
+    # 0 raised ZeroDivisionError; -0.05 solved on [0, 1.05], across the
+    # singular point s = 1, and then failed writing a complex lower bound
+    text = f"command = example414\nexample.epsilons = {epsilons}\nexample.resolutions = 16,32\n"
+    assert _exits_with_one_config_error(tmp_path, text, message)
+    assert not any((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.parametrize("target", ["directory", "missing", "not-utf8"])
+def test_unreadable_table_is_config_error_naming_key_and_path(tmp_path, target):
+    # a directory raised IsADirectoryError, and non-UTF-8 bytes UnicodeDecodeError
+    path = tmp_path / {"directory": "adir", "missing": "nope.csv", "not-utf8": "t.csv"}[target]
+    if target == "directory":
+        path.mkdir()
+    elif target == "not-utf8":
+        path.write_bytes(b"t,value\n\xff,1\n")
+    text = VERIFY_SMALL + f"problem.theta = table({path})\n"
+    assert _exits_with_one_config_error(tmp_path, text, f"problem.theta: cannot read table {path}")
+    assert not any((tmp_path / "out").glob("*"))
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path):
+    # read_text raised UnicodeDecodeError past main's OSError handler
+    text = VERIFY_SMALL.encode() + b"# caf\xe9\n"
+    assert _exits_with_one_config_error(tmp_path, text, "cannot read config")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (VERIFY_SMALL + "problem.colour = red\n", "unknown config keys: problem.colour"),
+        (VERIFY_SMALL + "problem.q 4\n", "expected 'key = value'"),
+        (VERIFY_SMALL + "= 4\n", "empty key"),
+        (VERIFY_SMALL + "problem.theta = constant(1\n", "bad selector syntax"),
+        (VERIFY_SMALL + "problem.theta = constant(1,2)\n", "constant(c) takes one argument"),
+        (VERIFY_SMALL + "problem.L = power()\n", "power(sigma) takes one argument"),
+        (VERIFY_SMALL + "problem.L = table(a.csv,b.csv)\n", "table(path) takes one argument"),
+        (SOLVE_SMALL + "problem.kernel = linear(0,1)\n", "linear kernel needs linear(c0,c1,c2)"),
+        (SOLVE_SMALL + "problem.kernel = example414(2/3,1/2)\n", "example414 kernel needs"),
+        (
+            VERIFY_SMALL + "problem.theta = cosine(1)\n",
+            "unknown function selector 'cosine' for 'problem.theta'",
+        ),
+        (SOLVE_SMALL + "problem.kernel = quadratic\n", "unknown kernel selector 'quadratic'"),
+    ],
+    ids=[
+        "unknown-key", "no-equals", "empty-key", "selector-syntax", "constant-args", "power-args",
+        "table-args", "linear-args", "example414-args", "function-selector", "kernel-selector",
+    ],
+)
+def test_cli_rejects(tmp_path, text, message):
+    assert _exits_with_one_config_error(tmp_path, text, message)

@@ -11,7 +11,9 @@ from delvol import (
     GridSpec,
     HypothesisError,
     ParameterError,
+    StructuralError,
     corollary_check,
+    discrete_convolution,
     young_check,
 )
 from conftest import SEED, random_piecewise_linear
@@ -152,3 +154,29 @@ def test_corollary_scale_covariant(rng):
     assert scaled.lhs == pytest.approx(lam * base.lhs, rel=1e-12)
     assert scaled.rhs == pytest.approx(lam * base.rhs, rel=1e-12)
     assert scaled.passed == base.passed
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: discrete_convolution(indicator(), indicator(GridSpec(t_end=1.0, n_points=512))),
+            StructuralError,
+            "different grids",
+        ),
+        (
+            lambda: corollary_check(indicator(), 0.0, 1.0, 0.5, 1.0, 1.0, 2.0, 2.0),
+            ParameterError,
+            "beta must lie in",
+        ),
+        (
+            lambda: corollary_check(indicator(), 0.0, 1.0, 0.5, 0.0, 1.0, 2.0, 2.0),
+            ParameterError,
+            "beta must lie in",
+        ),
+    ],
+    ids=["convolution-grids", "beta-one", "beta-zero"],
+)
+def test_estimates_reject(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -206,3 +206,107 @@ def test_csv_bytes_match_the_per_value_format(tmp_path, rng, dim):
     cols = "value" if dim == 1 else "xi_1,xi_2,xi_3"
     expect = f"# seed 1\nt,{cols}\n" + per_value_rows(spec.times, vals)
     assert path.read_bytes() == expect.encode()
+
+
+
+def test_from_callable_falls_back_to_per_node_calls():
+    # a scalar answer to the vectorized call is not a sample of every node
+    spec = GridSpec(t_end=1.0, n_points=16, h=0.25)
+    calls = []
+    f = GridFunction.from_callable(spec, lambda t: calls.append(t) or 2.0)
+    assert len(calls) == 1 + spec.n_points + 1
+    assert np.array_equal(f.values, GridFunction.constant(spec, 2.0).values)
+
+
+def test_from_callable_vector_valued():
+    spec = GridSpec(t_end=1.0, n_points=16, h=0.25)
+    f = GridFunction.from_callable(spec, lambda t: np.column_stack([t, 2.0 * t]))
+    m = spec.delay_steps
+    assert f.values.shape == (spec.n_nodes, 2) and f.dim == 2
+    assert np.all(f.values[:m] == 0.0)
+    assert np.array_equal(f.values[m:, 1], 2.0 * spec.times[m:])
+
+
+def test_zeros_with_a_dimension():
+    spec = GridSpec(t_end=1.0, n_points=16, h=0.25)
+    f = GridFunction.zeros(spec, 3)
+    assert f.values.shape == (spec.n_nodes, 3) and not np.any(f.values)
+
+
+@pytest.mark.parametrize(
+    "arr", [np.ones(16), np.ones(21), 1.0], ids=["short", "all-nodes", "scalar"]
+)
+def test_from_horizon_values_rejects_a_wrong_length(arr):
+    spec = GridSpec(t_end=1.0, n_points=16, h=0.25)  # 17 horizon nodes, 21 in all
+    with pytest.raises(StructuralError, match="expected 17 horizon values"):
+        GridFunction.from_horizon_values(spec, arr)
+
+
+@pytest.mark.parametrize("n_points", [100.0, 100.5, "100"])
+def test_spec_requires_an_integer_node_count(n_points):
+    # 100.0 used to pass and fail later with a bare TypeError; 100.5 gave 101.5 nodes
+    with pytest.raises(ParameterError, match="n_points must be an integer"):
+        GridSpec(t_end=1.0, n_points=n_points)
+
+
+def test_spec_accepts_numpy_integers():
+    spec = GridSpec(t_end=1.0, n_points=np.int64(16))
+    assert spec == GridSpec(t_end=1.0, n_points=16)
+    assert GridFunction.constant(spec, 1.0).values.shape == (17,)
+
+
+GRID = GridSpec(t_end=1.0, n_points=16, h=0.25)
+OTHER_GRID = GridSpec(t_end=1.0, n_points=8, h=0.25)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda tmp: GridSpec(t_end=1.0, n_points=512, h=1e-12),
+            ParameterError,
+            "at least one step",
+        ),
+        (lambda tmp: GRID.index_at(0.03), DomainError, "does not lie on a grid node"),
+        (
+            lambda tmp: GridFunction(GRID, np.zeros((GRID.n_nodes, 2, 2))),
+            StructuralError,
+            "does not match",
+        ),
+        (
+            lambda tmp: GridFunction.constant(GRID, 1.0) * GridFunction.constant(OTHER_GRID, 1.0),
+            StructuralError,
+            "different grids",
+        ),
+        (
+            lambda tmp: GridFunction.constant(GRID, 1.0).to_csv(tmp / "f.csv")
+            or GridFunction.read_csv(tmp / "f.csv", OTHER_GRID),
+            StructuralError,
+            "CSV has 21 rows, grid has 11 nodes",
+        ),
+        (
+            lambda tmp: lp_norm(GridFunction.constant(GRID, 1.0), 2.0, window=(0.5, 0.25)),
+            DomainError,
+            "empty window",
+        ),
+    ],
+    ids=[
+        "delay-below-one-step", "off-node-time", "values-shape", "mixed-grids", "table-rows",
+        "empty-window",
+    ],
+)
+def test_grid_rejects(tmp_path, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path)
+
+
+def test_one_node_window_norm_is_zero():
+    assert lp_norm(GridFunction.constant(GRID, 3.0), 2.0, window=(0.5, 0.5)) == 0.0
+
+
+def test_vector_magnitude_is_euclidean():
+    f = GridFunction.from_horizon_values(GRID, np.tile([3.0, 4.0], (GRID.n_points + 1, 1)))
+    mag = f.magnitude()
+    assert mag.values.ndim == 1
+    assert np.array_equal(mag.horizon_values, np.full(GRID.n_points + 1, 5.0))
+    assert np.all(mag.values[: GRID.delay_steps] == 0.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -57,6 +58,9 @@ def test_problem_validation():
     th = GridFunction.constant(spec, 1.0)
     with pytest.raises(HypothesisError):
         make_problem(L, th, nu=0.5, q=1.5)  # q <= 1/nu
+    finer = GridFunction.constant(GridSpec(t_end=1.0, n_points=32, h=0.5), 1.0)
+    with pytest.raises(StructuralError, match="theta must live on L's grid"):
+        make_problem(L, finer, nu=0.5, q=4.0)
     spec0 = GridSpec(t_end=1.0, n_points=16, h=0.0)
     with pytest.raises(HypothesisError):
         make_problem(
@@ -974,3 +978,9 @@ def test_bound_report_csv_bytes_match_the_per_value_format(tmp_path):
     table = np.column_stack([c.values for c in curves])
     expect = "t,theta,theta_n,bound,majorant,margin\n" + per_value_rows(spec.times, table)
     assert path.read_bytes() == expect.encode()
+
+
+def test_problem_holds_only_its_data_and_reads_the_grid_from_L():
+    problem = unit_problem(n_points=16, h=0.25)
+    assert [f.name for f in dataclasses.fields(problem)] == ["L", "theta", "nu", "q"]
+    assert problem.spec is problem.L.spec and problem.h == 0.25

@@ -47,12 +47,12 @@ def test_library_runs_on_numpy_alone():
             "import sys",
             "sys.modules['scipy'] = None",
             _quick_start(),
-            "from delvol import beta, log_gamma, mittag_leffler_half",
-            "print(beta(0.5, 0.5), log_gamma(0.5), mittag_leffler_half(-10.0))",
+            "from delvol import beta, mittag_leffler_half",
+            "print(beta(0.5, 0.5), mittag_leffler_half(-10.0))",
         ]
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    b, lg, e = (float(x) for x in proc.stdout.splitlines()[-1].split())
-    assert abs(b / math.pi - 1.0) <= 1e-15 and lg == math.lgamma(0.5)
+    b, e = (float(x) for x in proc.stdout.splitlines()[-1].split())
+    assert abs(b / math.pi - 1.0) <= 1e-15
     assert abs(e / 0.05614099274382259 - 1.0) <= 1e-15  # exp(100) erfc(10)

@@ -1335,3 +1335,98 @@ def test_state_operator_at_two_to_the_sixteen_nodes():
     got = apply_state_operator(prob, prob.zeta).horizon_values
     t = spec.times[spec.delay_steps :]
     np.testing.assert_allclose(got, 1.0 + t**nu / nu, rtol=1e-12, atol=0.0)
+
+
+
+SPEC16 = GridSpec(t_end=1.0, n_points=16, h=0.25)
+SPEC8 = GridSpec(t_end=1.0, n_points=8, h=0.25)
+INF_L = GridFunction.constant(SPEC16, math.inf)
+
+
+def _problem16(**changes):
+    """A linear problem on SPEC16, with fields changed as given."""
+    fields = dict(
+        zeta=GridFunction.constant(SPEC16, 1.0),
+        kernel=linear_kernel(SPEC16, c1=1.0),
+        control=GridFunction.zeros(SPEC16),
+        nu=0.5,
+        h=0.25,
+        p=4.0,
+        spec=SPEC16,
+    )
+    return VolterraProblem(**{**fields, **changes})
+
+
+def _vector_state_problem():
+    kernel = GeneratorKernel(
+        kappa=lambda t, s, xi, xi_h, u: np.asarray(xi, dtype=float),
+        L0=GridFunction.zeros(SPEC16),
+        L=GridFunction.constant(SPEC16, 1.0),
+        u0=np.zeros(1),
+        dim_state=2,
+    )
+    zeta = GridFunction.from_horizon_values(SPEC16, np.ones((SPEC16.n_points + 1, 2)))
+    return _problem16(kernel=kernel, zeta=zeta)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: _problem16(nu=1.0), ParameterError, "nu must lie in"),
+        (
+            lambda: _problem16(zeta=GridFunction.constant(SPEC8, 1.0)),
+            StructuralError,
+            "zeta does not live on the problem grid",
+        ),
+        (lambda: _problem16(h=0.5), StructuralError, "problem delay differs from the grid delay"),
+        (
+            lambda: _problem16(control=GridFunction.constant(SPEC16, math.inf)),
+            ParameterError,
+            "control must be finite-distance from u0",
+        ),
+        (
+            lambda: GeneratorKernel(
+                kappa=None,
+                L0=GridFunction.zeros(SPEC16),
+                L=GridFunction.constant(SPEC16, -1.0),
+                u0=0.0,
+            ),
+            ParameterError,
+            "must be node-wise nonnegative",
+        ),
+        (lambda: SolverConfig(max_iter=0), ParameterError, "max_iter must be >= 1"),
+        (
+            lambda: contraction_window(GridFunction.constant(SPEC16, 1.0), 0.8, 1.5, 1.0),
+            HypothesisError,
+            "gives q < 1",
+        ),
+        (lambda: contraction_window(INF_L, 0.5, 4.0, 0.5), HypothesisError, "is not finite"),
+        (lambda: choose_epsilon(4.0, 0.5, INF_L), HypothesisError, "no admissible epsilon"),
+        (
+            lambda: apply_state_operator(_problem16(), GridFunction.constant(SPEC8, 1.0)),
+            StructuralError,
+            "iterate does not live on the problem grid",
+        ),
+        (
+            lambda: check_generator_hypotheses(_vector_state_problem()),
+            StructuralError,
+            "scalar state only",
+        ),
+    ],
+    ids=[
+        "nu", "zeta-grid", "delay", "control-distance", "negative-L", "max-iter", "window-q",
+        "window-non-finite-L", "epsilon-non-finite-L", "iterate-grid", "vector-hypotheses",
+    ],
+)
+def test_volterra_rejects(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_stability_check_on_identical_data_passes_with_K_zero():
+    # the brace is 0, so no comparison problem is certified
+    prob = delayed_problem(64)
+    xi = picard_solve(prob)
+    record = stability_check(prob, prob, xi, xi)
+    assert record.lhs == 0.0 and record.rhs == 0.0 and record.passed
+    assert record.constants["K"] == 0.0 and "gronwall_K" not in record.constants
