@@ -28,7 +28,6 @@ from .gronwall import (
     CertificationResult,
     GronwallProblem,
     certify,
-    comparison_constant,
     gronwall_bound,
     lemma1_constant,
     resolvent_majorant,

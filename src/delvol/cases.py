@@ -152,7 +152,6 @@ def example_problem(
 class BlowupReport:
     """Closed-form lower-bound integrals and solver values approaching t = 1."""
 
-    params: ExampleParams
     cutoffs: tuple
     resolutions: tuple
     lower_bounds: tuple
@@ -162,7 +161,7 @@ class BlowupReport:
     verdict: str
 
     def to_csv(self, path, header_lines=()) -> None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             for line in header_lines:
                 fh.write(f"# {line}\n")
             fh.write("epsilon,lower_bound,xi_near_1,resolution\n")
@@ -235,7 +234,6 @@ def blowup_diagnostic(
         f"solver values strictly increasing: {mono_eps[resolutions[-1]]}"
     )
     return BlowupReport(
-        params=params,
         cutoffs=cutoffs,
         resolutions=resolutions,
         lower_bounds=lower,

@@ -294,7 +294,7 @@ def _header(cfg: RunConfig, seed: int, spec: GridSpec | None) -> list:
 
 def _write_text(path: Path, header: list, body: str) -> None:
     """A text report: the header as '# ' lines, then the body as given."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for line in header:
             fh.write(f"# {line}\n")
         fh.write(body)
@@ -417,7 +417,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text()
+        text = Path(args.config).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {EXIT_CONFIG}: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -437,6 +437,9 @@ def main(argv=None) -> int:
     except (ConvergenceError, EvaluationError) as exc:
         print(f"error: {EXIT_NONCONVERGENCE}: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except OSError as exc:  # tables are read in build_function, so this is --out
+        print(f"error: {EXIT_CONFIG}: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -200,7 +200,7 @@ class GridFunction:
         cols = "value" if self.values.ndim == 1 else ",".join(
             f"xi_{k + 1}" for k in range(ncol)
         )
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             for line in header_lines:
                 fh.write(f"# {line}\n")
             fh.write(f"t,{cols}\n")
@@ -214,7 +214,7 @@ class GridFunction:
         row's, raises ``StructuralError`` naming its 1-based line number.
         """
         rows = []
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for num, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#") or line.startswith("t,"):

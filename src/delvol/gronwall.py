@@ -55,7 +55,6 @@ __all__ = [
     "BoundReport",
     "CertificationResult",
     "step_constant_k1",
-    "comparison_constant",
     "resolvent_majorant",
     "lemma1_constant",
     "theta_n",
@@ -126,11 +125,6 @@ class GronwallProblem:
         """Product-integration weights of the problem grid, built once."""
         return build_singular_weights(self.spec, self.nu)
 
-    @property
-    def n_delay_intervals(self) -> int:
-        """Largest n with n*h <= T."""
-        return self.spec.n_points // self.spec.delay_steps
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -138,9 +132,6 @@ class BoundReport:
 
     K_steps: tuple
     K: float
-    nu1: float
-    C: float
-    n: int
     theta: GridFunction
     theta_n: GridFunction
     bound: GridFunction
@@ -150,19 +141,17 @@ class BoundReport:
     def to_csv(self, path, header_lines=()) -> None:
         """Curves as CSV plus a ``*_constants.txt`` sidecar with the constants."""
         spec = self.theta_n.spec
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             for line in header_lines:
                 fh.write(f"# {line}\n")
             fh.write("t,theta,theta_n,bound,majorant,margin\n")
             curves = (self.theta, self.theta_n, self.bound, self.majorant, self.margin)
             fh.write(_csv_rows(np.column_stack([spec.times] + [c.values for c in curves])))
         path = Path(path)
-        with open(path.with_name(path.stem + "_constants.txt"), "w") as fh:
+        sidecar = path.with_name(path.stem + "_constants.txt")
+        with open(sidecar, "w", encoding="utf-8") as fh:
             fh.write("K_steps = " + ", ".join(f"{k:.17g}" for k in self.K_steps) + "\n")
             fh.write(f"K = {self.K:.17g}\n")
-            fh.write(f"nu1 = {self.nu1:.17g}\n")
-            fh.write(f"C = {self.C:.17g}\n")
-            fh.write(f"n = {self.n}\n")
 
     def verdict(self, tol: float | None = None) -> tuple[bool, float]:
         """(passed, tol): pass iff the node-wise margin stays >= -tol.
@@ -200,16 +189,6 @@ def step_constant_k1(L: GridFunction, nu: float, q: float) -> float:
     if norm == 0.0:
         return 0.0
     return norm * beta(arg, arg) ** ((q - 1.0) / q)
-
-
-def comparison_constant(nu: float, nu1: float, T: float) -> float:
-    """Smallest C with (t-s)^(nu1-1) <= C (t-s)^(nu-1) for 0 < t-s <= T."""
-    # each comparison is False for nan, so the chains reject it too
-    if not nu < nu1:
-        raise HypothesisError(f"requires nu1 > nu, got nu1={nu1}, nu={nu}")
-    if not 0.0 < T < math.inf:
-        raise ParameterError(f"T must be finite and positive, got {T}")
-    return max(T ** (nu1 - nu), 1.0)
 
 
 def _checked_gain(gain: np.ndarray) -> np.ndarray:
@@ -374,7 +353,7 @@ def _lemma_row_max(L: GridFunction, weights: SingularWeights) -> np.ndarray:
     return np.maximum.accumulate(out)
 
 
-def lemma1_constant(L: GridFunction, nu: float, q: float) -> float:
+def lemma1_constant(L: GridFunction, nu: float) -> float:
     """Constant K with resolvent(t_i, t_j) <= K * [first kernel](t_i, t_j) on L's grid.
 
     Both sides are the product-integration discretizations, so the ratio is
@@ -384,7 +363,6 @@ def lemma1_constant(L: GridFunction, nu: float, q: float) -> float:
     (the only way the series can diverge on the grid) raises
     ``ConvergenceError``.
     """
-    _check_q(q, nu)
     _check_node_values("L", L)
     return float(_lemma_row_max(L, build_singular_weights(L.spec, nu))[-1])
 
@@ -504,13 +482,9 @@ def _report(problem: GronwallProblem, K: float | None) -> BoundReport:
     tn = theta_n(problem, K)
     bound = tn + K * GridFunction.from_horizon_values(spec, direct)
     majorant = resolvent_majorant(problem)
-    nu1 = problem.nu + (problem.nu - 1.0 / problem.q)
     return BoundReport(
         K_steps=K_steps,
         K=K,
-        nu1=nu1,
-        C=comparison_constant(problem.nu, nu1, spec.t_end),
-        n=problem.n_delay_intervals,
         theta=problem.theta,
         theta_n=tn,
         bound=bound,

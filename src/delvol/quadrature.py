@@ -77,7 +77,6 @@ class SingularWeights:
     """
 
     spec: GridSpec
-    nu: float
     w_left: np.ndarray  # index d = 1 .. n_points + 1 (0 unused)
     w_right: np.ndarray
 
@@ -193,7 +192,7 @@ def build_singular_weights(spec: GridSpec, nu: float) -> SingularWeights:
     w_left[0] = w_right[0] = 0.0
     w_left.flags.writeable = False
     w_right.flags.writeable = False
-    return SingularWeights(spec=spec, nu=nu, w_left=w_left, w_right=w_right)
+    return SingularWeights(spec=spec, w_left=w_left, w_right=w_right)
 
 
 def _check_same_spec(f: GridFunction, weights: SingularWeights):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,20 @@ import pytest
 from delvol import GridFunction, GridSpec
 
 SEED = 20250808
+
+# the C locale with neither locale coercion nor UTF-8 mode: Python's default
+# text encoding is then ASCII
+C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def run_in_c_locale(*args):
+    """Run ``python *args`` under ``C_LOCALE``; stdout and stderr as text."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, **C_LOCALE},
+    )
 
 
 def random_piecewise_linear(rng, spec, lo=0.0, hi=2.0, knots=None):

@@ -27,7 +27,7 @@ from delvol import (
     picard_solve,
 )
 from delvol.cli import _SCHEMA, RunConfig, main, parse_selector, run
-from conftest import delayed_linear_exact
+from conftest import delayed_linear_exact, run_in_c_locale
 
 VERIFY_ZERO_L = """
 command = verify
@@ -710,6 +710,9 @@ def test_library_and_cli_share_their_defaults(tmp_path, monkeypatch):
     certify(GronwallProblem.build(one, one, 0.6)).report.to_csv(tmp_path / "lib.csv")
     for ran, lib in (("bound_report.csv", "lib.csv"), ("bound_report_constants.txt", "lib_constants.txt")):
         assert _body(tmp_path / "v" / ran) == _body(tmp_path / lib)
+    # K does not show q here (K1 never binds), so check the q the CLI builds
+    built = delvol.cli.build_gronwall_problem(RunConfig.parse(VERIFY_ACTIVE), vspec)
+    assert built.q == GronwallProblem.build(one, one, 0.6).q
 
     # example414 without example.*: ExampleParams' set, blowup_diagnostic's grids
     cfg = write(tmp_path, "x.cfg", "command = example414\n")
@@ -789,3 +792,40 @@ def test_config_that_is_not_utf8_is_config_error(tmp_path):
 )
 def test_cli_rejects(tmp_path, text, message):
     assert _exits_with_one_config_error(tmp_path, text, message)
+
+
+def test_verify_reads_a_utf8_config_whatever_the_locale(tmp_path):
+    # under an ASCII locale a non-ASCII comment made the config unreadable
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("# r\u00e9sum\u00e9\n" + VERIFY_ZERO_L, encoding="utf-8")
+    proc = run_in_c_locale("-m", "delvol", "--config", str(cfg), "--out", str(tmp_path / "c"))
+    assert proc.returncode == 0, proc.stderr
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "utf8")]) == 0
+    for name in ("bound_report.csv", "bound_report_constants.txt"):
+        assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "utf8" / name).read_bytes()
+
+
+def test_table_with_a_utf8_header_reads_whatever_the_locale(tmp_path):
+    # a table that to_csv wrote with a non-ASCII header line: under an ASCII
+    # locale it could not be read back
+    spec = GridSpec(t_end=1.0, n_points=128, h=0.25)
+    table = tmp_path / "theta.csv"
+    GridFunction.constant(spec, 1.0).to_csv(table, header_lines=["r\u00e9sum\u00e9"])
+    text = VERIFY_ZERO_L.replace("constant(1)", f"table({table})")
+    cfg = write(tmp_path, "v.cfg", text)
+    proc = run_in_c_locale("-m", "delvol", "--config", str(cfg), "--out", str(tmp_path / "c"))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_unusable_out_exits_1_with_one_line(tmp_path, capsys):
+    # an existing file, a path under one, and an output name taken by a
+    # directory each printed a traceback
+    cfg = write(tmp_path, "v.cfg", VERIFY_ZERO_L)
+    afile = write(tmp_path, "afile", "")
+    taken = tmp_path / "taken"
+    (taken / "bound_report.csv").mkdir(parents=True)
+    for out in (afile, afile / "sub", taken):
+        assert main(["--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: 1: cannot write output: ")

@@ -13,7 +13,7 @@ from delvol import (
     StructuralError,
     lp_norm,
 )
-from conftest import shift_by_delay
+from conftest import run_in_c_locale, shift_by_delay
 
 
 def test_spec_validation():
@@ -206,6 +206,22 @@ def test_csv_bytes_match_the_per_value_format(tmp_path, rng, dim):
     cols = "value" if dim == 1 else "xi_1,xi_2,xi_3"
     expect = f"# seed 1\nt,{cols}\n" + per_value_rows(spec.times, vals)
     assert path.read_bytes() == expect.encode()
+
+
+def test_to_csv_writes_utf8_whatever_the_locale(tmp_path):
+    # under an ASCII locale a non-ASCII header line raised UnicodeEncodeError
+    header = "r\u00e9sum\u00e9"
+    script = (
+        "import sys; from delvol import GridFunction, GridSpec; "
+        "GridFunction.constant(GridSpec(t_end=1.0, n_points=8), 1.0)"
+        f".to_csv(sys.argv[1], header_lines=[{ascii(header)}])"
+    )
+    proc = run_in_c_locale("-c", script, str(tmp_path / "c.csv"))
+    assert proc.returncode == 0, proc.stderr
+    f = GridFunction.constant(GridSpec(t_end=1.0, n_points=8), 1.0)
+    f.to_csv(tmp_path / "utf8.csv", header_lines=[header])
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "utf8.csv").read_bytes()
+    assert (tmp_path / "c.csv").read_bytes().startswith(f"# {header}\n".encode("utf-8"))
 
 
 

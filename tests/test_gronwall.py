@@ -16,7 +16,6 @@ from delvol import (
     StructuralError,
     build_singular_weights,
     certify,
-    comparison_constant,
     delayed_product_convolution,
     gronwall_bound,
     lemma1_constant,
@@ -95,14 +94,15 @@ def test_non_finite_q_is_rejected_by_name(bad):
     for build in (
         lambda: make_problem(L, L, nu=0.5, q=bad),
         lambda: step_constant_k1(L, 0.5, bad),
-        lambda: lemma1_constant(L, 0.5, bad),
     ):
         with pytest.raises(HypothesisError, match=f"q={bad}"):
             build()
 
 
 @pytest.mark.parametrize(
-    "fn", [lemma1_constant, step_constant_k1], ids=["lemma1", "k1"]
+    "fn",
+    [lemma1_constant, lambda L, nu: step_constant_k1(L, nu, 4.0)],
+    ids=["lemma1", "k1"],
 )
 @pytest.mark.parametrize(
     "fill, message",
@@ -123,7 +123,7 @@ def test_bad_L_is_rejected_by_name(fn, fill, message):
         "minus-one": GridFunction.constant(spec, -1.0),
     }[fill]
     with pytest.raises(ParameterError, match=message):
-        fn(L, 0.5, 4.0)
+        fn(L, 0.5)
 
 
 def _no_constants(*args):
@@ -180,34 +180,6 @@ def test_step_constant_hypothesis():
     spec = GridSpec(t_end=1.0, n_points=32, h=0.5)
     with pytest.raises(HypothesisError):
         step_constant_k1(GridFunction.constant(spec, 1.0), nu=0.5, q=2.0)
-
-
-def test_comparison_constant():
-    assert comparison_constant(0.3, 0.5, 1.0) == 1.0
-    assert comparison_constant(0.5, 0.75, 4.0) == pytest.approx(math.sqrt(2.0))
-    with pytest.raises(HypothesisError):
-        comparison_constant(0.5, 0.5, 1.0)
-
-
-def test_comparison_constant_rejects_nan():
-    # a nan T used to give C = nan, and a nan nu or nu1 passed the bare
-    # nu1 <= nu check
-    for bad_T in (math.nan, math.inf, 0.0):
-        with pytest.raises(ParameterError, match="T must be finite"):
-            comparison_constant(0.5, 0.7, bad_T)
-    for nu, nu1 in ((0.5, math.nan), (math.nan, 0.7)):
-        with pytest.raises(HypothesisError, match="requires nu1 > nu"):
-            comparison_constant(nu, nu1, 1.0)
-
-
-def test_comparison_constant_dominates_sampled(rng):
-    for _ in range(20):
-        nu = rng.uniform(0.1, 0.9)
-        nu1 = nu + rng.uniform(0.01, 0.5)
-        T = rng.uniform(0.5, 5.0)
-        C = comparison_constant(nu, nu1, T)
-        gaps = rng.uniform(1e-6, T, size=50)
-        assert np.all(C * gaps ** (nu - 1.0) - gaps ** (nu1 - 1.0) >= -1e-12)
 
 
 def test_majorant_zero_L_is_theta():
@@ -280,21 +252,21 @@ def test_majorant_delay_inactive_prefix():
 
 def test_lemma1_zero_L():
     spec = GridSpec(t_end=1.0, n_points=64, h=0.5)
-    assert lemma1_constant(GridFunction.constant(spec, 0.0), 0.5, 3.0) == 0.0
+    assert lemma1_constant(GridFunction.constant(spec, 0.0), 0.5) == 0.0
 
 
 def test_lemma1_refinement_stability():
     vals = {}
     for n in (200, 400):
         spec = GridSpec(t_end=1.0, n_points=n, h=0.5)
-        vals[n] = lemma1_constant(GridFunction.constant(spec, 1.0), 0.5, 3.0)
+        vals[n] = lemma1_constant(GridFunction.constant(spec, 1.0), 0.5)
     assert abs(vals[400] - vals[200]) / vals[200] < 0.05
 
 
 def test_lemma1_monotone_in_scale():
     spec = GridSpec(t_end=1.0, n_points=128, h=0.5)
-    base = lemma1_constant(GridFunction.constant(spec, 1.0), 0.5, 3.0)
-    scaled = lemma1_constant(GridFunction.constant(spec, 1.5), 0.5, 3.0)
+    base = lemma1_constant(GridFunction.constant(spec, 1.0), 0.5)
+    scaled = lemma1_constant(GridFunction.constant(spec, 1.5), 0.5)
     assert scaled >= base
 
 
@@ -307,7 +279,7 @@ def test_lemma1_constant_mittag_leffler_limit(nu):
     errors = []
     for n in (128, 256, 512):
         spec = GridSpec(t_end=1.0, n_points=n)
-        K = lemma1_constant(GridFunction.constant(spec, 1.0), nu, 2.0 / nu)
+        K = lemma1_constant(GridFunction.constant(spec, 1.0), nu)
         errors.append(abs(K - exact) / exact)
     orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
     assert min(orders) >= 0.8
@@ -361,7 +333,7 @@ def test_theta_n_against_explicit_row_assembly(rng):
         got = theta_n(prob, K).horizon_values
         W = build_singular_weights(spec, prob.nu)
         m, npts = spec.delay_steps, spec.n_points
-        n = prob.n_delay_intervals
+        n = spec.n_points // spec.delay_steps
         L, th = prob.L.horizon_values, prob.theta.horizon_values
         expect = th.copy()
         for ell in range(npts + 1):
@@ -517,7 +489,7 @@ def test_lemma_constant_is_tight_on_a_dense_reference(n, nu, rng):
     # the round-off of the dense solve, and some entry exceeds K (1 - 1e-9) A1
     spec = GridSpec(t_end=1.0, n_points=n, h=0.25)
     L = random_piecewise_linear(rng, spec)
-    K = lemma1_constant(L, nu, 2.0 / nu)
+    K = lemma1_constant(L, nu)
     A1 = dense_weights(build_singular_weights(spec, nu)) * L.horizon_values[None, :]
     R = np.linalg.solve(np.eye(n + 1) - A1, A1)
     assert np.all(R <= K * (1.0 + 1e-12) * A1)
@@ -574,7 +546,7 @@ def _full_horizon_steps_curve(problem, weights, K_lemma, dense=None):
     m, n = problem.spec.delay_steps, problem.spec.n_points
     L = problem.L.horizon_values
     cur = problem.theta
-    for _ in range(problem.n_delay_intervals + 1):
+    for _ in range(n // m + 1):
         if dense is None:
             lag = delayed_product_convolution(problem.L, cur, weights)
         else:
@@ -689,7 +661,7 @@ def test_bound_zero_L_margins():
 
 def test_bound_dominates_mittag_leffler():
     prob = unit_problem(n_points=512, h=1.0, q=3.0)
-    K = lemma1_constant(prob.L, prob.nu, prob.q)
+    K = lemma1_constant(prob.L, prob.nu)
     report = gronwall_bound(prob, K)
     t = prob.spec.times[prob.spec.delay_steps :]
     exact = np.array([mittag_leffler_half(math.sqrt(math.pi * tt)) for tt in t])
@@ -827,8 +799,6 @@ def test_consistency_of_constants():
     prob = unit_problem(n_points=128, h=0.25, nu=0.6, q=5.0)
     res = certify(prob)
     rep = res.report
-    assert rep.nu1 > prob.nu
-    assert rep.n == 4
     assert rep.K >= step_constant_k1(prob.L, prob.nu, prob.q) - 1e-12
     assert rep.K == max(rep.K_steps + (rep.K,))
 
@@ -927,7 +897,7 @@ def test_build_with_default_q_rejects_a_bad_nu(nu):
 def test_lemma1_divergence_detected():
     spec = GridSpec(t_end=1.0, n_points=4, h=0.5)
     with pytest.raises(ConvergenceError):
-        lemma1_constant(GridFunction.constant(spec, 6.0), 0.5, 4.0)
+        lemma1_constant(GridFunction.constant(spec, 6.0), 0.5)
 
 
 def test_certify_zero_forcing():
@@ -948,8 +918,8 @@ def test_bound_report_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,theta,theta_n,bound,majorant,margin"
     assert len(lines) == 1 + res.report.bound.spec.n_nodes
-    sidecar = (tmp_path / "report_constants.txt").read_text()
-    assert "K_steps" in sidecar and "nu1" in sidecar
+    sidecar = (tmp_path / "report_constants.txt").read_text().splitlines()
+    assert [line.split(" = ")[0] for line in sidecar] == ["K_steps", "K"]
 
 
 def test_bound_report_sidecar_stays_in_the_report_directory(tmp_path):
