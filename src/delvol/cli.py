@@ -187,8 +187,9 @@ def _selector_number(arg: str) -> float:
         raise ConfigError(f"bad selector argument {arg!r}") from exc
 
 
-def build_grid(cfg: RunConfig, grid_override=None) -> GridSpec:
-    n = grid_override if grid_override is not None else cfg.get("grid.n_points", 512)
+def build_grid(cfg: RunConfig) -> GridSpec:
+    """The problem grid of grid.n_points, problem.T and problem.h."""
+    n = cfg.get("grid.n_points", 512)
     T = cfg.get("problem.T", 1.0)
     h = cfg.get("problem.h", 0.0)
     return GridSpec(t_end=T, n_points=n, h=h)
@@ -282,8 +283,8 @@ def _section(cfg: RunConfig, prefix: str) -> dict:
     }
 
 
-def _header(cfg: RunConfig, seed: int, spec: GridSpec | None) -> list:
-    lines = [f"seed = {seed}"]
+def _header(cfg: RunConfig, spec: GridSpec | None) -> list:
+    lines = [f"seed = {cfg.get('seed', DEFAULT_SEED)}"]
     if spec is not None:
         lines.append(
             f"grid: t_end={spec.t_end:.17g} n_points={spec.n_points} h={spec.h:.17g}"
@@ -308,12 +309,13 @@ def _random_piecewise_linear(rng, spec: GridSpec, lo=0.0, hi=2.0) -> GridFunctio
     return GridFunction.from_horizon_values(spec, np.interp(t, xs, ys))
 
 
-def _estimate_suite(cfg: RunConfig, seed: int, grid_override=None):
+def _estimate_suite(cfg: RunConfig):
     """Seeded randomized runs of both norm checks; deterministic ordering."""
     cases = cfg.get("estimates.cases", 50)
     if cases < 1:
         raise ConfigError(f"estimates.cases must be >= 1, got {cases}")
-    n_points = grid_override if grid_override is not None else cfg.get("grid.n_points", 1024)
+    seed = cfg.get("seed", DEFAULT_SEED)
+    n_points = cfg.get("grid.n_points", 1024)
     spec = GridSpec(t_end=1.0, n_points=n_points, h=0.0)
     young_exponents = [(1.0, 1.0, 1.0), (2.0, 2.0, 1.0), (math.inf, 2.0, 2.0)]
     corollary_params = [(0.5, 1.0, 2.0, 2.0), (0.7, 1.5, 6.0, 2.0)]
@@ -338,29 +340,32 @@ def _estimate_suite(cfg: RunConfig, seed: int, grid_override=None):
     ]
 
 
-def run(cfg: RunConfig, out_dir: Path, seed: int, tol=None, grid_override=None) -> int:
-    """Execute one command; writes artifacts into out_dir and returns the exit code."""
+def run(cfg: RunConfig, out_dir: Path) -> int:
+    """Execute one command; writes artifacts into out_dir and returns the exit code.
+
+    Reads cfg alone: ``main`` stores --seed, --tol and --grid as their keys.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     command = cfg.command
 
     if command == "solve":
-        spec = build_grid(cfg, grid_override)
+        spec = build_grid(cfg)
         prob = build_volterra_problem(cfg, spec)
         xi = picard_solve(prob, SolverConfig(**_section(cfg, "solver.")))
         # solution files carry state columns xi_1..xi_n even for scalar states
         out_fn = xi if xi.values.ndim == 2 else GridFunction(spec, xi.values[:, None])
-        out_fn.to_csv(out_dir / "solution.csv", header_lines=_header(cfg, seed, spec))
+        out_fn.to_csv(out_dir / "solution.csv", header_lines=_header(cfg, spec))
         residual = fixed_point_residual(prob, xi)
         body = f"fixed_point_residual = {residual:.17g}\n"
-        _write_text(out_dir / "residual.txt", _header(cfg, seed, spec), body)
+        _write_text(out_dir / "residual.txt", _header(cfg, spec), body)
         return EXIT_OK
 
     if command in ("bound", "verify"):
-        spec = build_grid(cfg, grid_override)
+        spec = build_grid(cfg)
         prob = build_gronwall_problem(cfg, spec)
-        # --tol, else output.tol, else certify's default; 0 means 0
-        tol = tol if tol is not None else cfg.get("output.tol", None)
+        # output.tol (or --tol), else certify's default; 0 means 0
+        tol = cfg.get("output.tol", None)
         if tol is not None:  # before any constant or oracle is built
             _check_nonnegative("tol", tol)
         K = cfg.get("bound.K", None)
@@ -370,7 +375,7 @@ def run(cfg: RunConfig, out_dir: Path, seed: int, tol=None, grid_override=None) 
         else:
             result = certify(prob, tol=tol)
             report, passed = result.report, result.passed
-        report.to_csv(out_dir / "bound_report.csv", header_lines=_header(cfg, seed, spec))
+        report.to_csv(out_dir / "bound_report.csv", header_lines=_header(cfg, spec))
         if command == "bound":
             return EXIT_OK
         return EXIT_OK if passed else EXIT_CERTIFICATION
@@ -384,16 +389,16 @@ def run(cfg: RunConfig, out_dir: Path, seed: int, tol=None, grid_override=None) 
         }
         params = ExampleParams(**{f"{name}_e": value for name, value in example.items()})
         report = blowup_diagnostic(params, **grids)
-        report.to_csv(out_dir / "blowup.csv", header_lines=_header(cfg, seed, None))
-        _write_text(out_dir / "verdict.txt", _header(cfg, seed, None), report.verdict + "\n")
+        report.to_csv(out_dir / "blowup.csv", header_lines=_header(cfg, None))
+        _write_text(out_dir / "verdict.txt", _header(cfg, None), report.verdict + "\n")
         return EXIT_OK
 
     if command == "estimates":
-        records = _estimate_suite(cfg, seed, grid_override)
+        records = _estimate_suite(cfg)
         all_pass = all(r.passed for r in records)
         body = "".join(f"{record.to_text()}\n" for record in records)
         body += f"suite: {'pass' if all_pass else 'fail'}\n"
-        _write_text(out_dir / "estimates_report.txt", _header(cfg, seed, None), body)
+        _write_text(out_dir / "estimates_report.txt", _header(cfg, None), body)
         return EXIT_OK if all_pass else EXIT_CERTIFICATION
 
     raise ConfigError(f"unhandled command {command!r}")
@@ -423,14 +428,12 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         cfg = RunConfig.parse(text)
-        seed = args.seed if args.seed is not None else cfg.get("seed", DEFAULT_SEED)
-        return run(
-            cfg,
-            Path(args.out),
-            seed=seed,
-            tol=args.tol,
-            grid_override=args.grid,
-        )
+        # a flag sets its key, so every reader of the key sees the flag
+        flags = {"seed": args.seed, "output.tol": args.tol, "grid.n_points": args.grid}
+        for key, flag in flags.items():
+            if flag is not None:
+                cfg.values[key] = flag
+        return run(cfg, Path(args.out))
     except (ConfigError, ValueError) as exc:
         print(f"error: {EXIT_CONFIG}: {exc}", file=sys.stderr)
         return EXIT_CONFIG

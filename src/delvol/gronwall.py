@@ -234,7 +234,7 @@ def resolvent_majorant(problem: GronwallProblem) -> GridFunction:
     spec, weights = problem.spec, problem.weights
     L = problem.L.horizon_values
     theta = problem.theta.horizon_values
-    npts = spec.n_points
+    npts, m = spec.n_points, spec.delay_steps
     b = _ORACLE_BLOCK
     slab = weights.slab(b)
     diag = _diag_resolvents(L, weights, slab)
@@ -242,7 +242,8 @@ def resolvent_majorant(problem: GronwallProblem) -> GridFunction:
     x[0] = theta[0]
     Lx = np.zeros(npts + 1)  # L M on the solved nodes
     Lx[0] = L[0] * x[0]
-    for lo, hi in _window_ends(spec):
+    for lo in range(0, npts, m):  # the rows of ``_delay_rows``
+        hi = min(lo + m, npts)
         prefix = GridFunction.from_horizon_values(spec, x)
         lag = delayed_product_convolution(problem.L, prefix, weights).horizon_values
         a = lo + 1
@@ -299,12 +300,6 @@ def _diagonal_groups(M: np.ndarray, g: int) -> np.ndarray:
     )
 
 
-def _ratio_row_max(R: np.ndarray, A1: np.ndarray) -> np.ndarray:
-    """Running max over rows 0..i of R/A1 where A1 > 0 (0 while there is none)."""
-    ratio = np.divide(R, A1, out=np.zeros_like(R), where=A1 > 0.0)
-    return np.maximum.accumulate(ratio.max(axis=1))
-
-
 def _lemma_row_max(L: GridFunction, weights: SingularWeights) -> np.ndarray:
     """Running row max of R/A1 for the first kernel A1 = w[i][j] L_j.
 
@@ -321,14 +316,17 @@ def _lemma_row_max(L: GridFunction, weights: SingularWeights) -> np.ndarray:
     the slab; row 0 of R is zero (so is row 0 of w), so j = 0 adds nothing
     to a history sum.  Every term is nonnegative, so nothing cancels.  Later
     blocks read only L R, so it is the one strip kept, (n + 1) b doubles;
-    R[I, J] and A1[I, J] are b x b temporaries whose ratio is folded into
-    the row max as each block is solved.  A diagonal gain >= 1 raises
+    R[I, J] and A1[I, J] live in two reused b x b buffers.  Once a block is
+    solved, R/A1 overwrites its A1 block where A1 > 0 (0 elsewhere) and the
+    block's row max is folded into the per-row max, whose one running max
+    over rows is the answer.  A diagonal gain >= 1 raises
     ``ConvergenceError``.  All zeros when L vanishes, and then no weights
     are laid out.
     """
     if not np.any(L.horizon_values):
         return np.zeros(weights.spec.n_points + 1)
-    L = L.horizon_values
+    # + 0.0 turns a -0.0 node into +0.0, so a ratio left 0 where A1 = 0 is +0
+    L = L.horizon_values + 0.0
     npts, b = weights.spec.n_points, _STRIP
     slab = weights.slab(b)
     diag = _diag_resolvents(L, weights, slab)
@@ -349,7 +347,8 @@ def _lemma_row_max(L: GridFunction, weights: SingularWeights) -> np.ndarray:
             rhs += blk
             rhs += diag[r0 // b, :h, :h] @ rhs
             np.multiply(rhs, L[r0:r1, None], out=LS[top:bot])
-            out[r0:r1] = np.maximum(out[r0:r1], _ratio_row_max(rhs, blk))
+            np.divide(rhs, blk, out=blk, where=blk > 0.0)
+            np.maximum(out[r0:r1], blk.max(axis=1), out=out[r0:r1])
     return np.maximum.accumulate(out)
 
 
@@ -407,16 +406,8 @@ def _window_sum(problem: GronwallProblem) -> tuple[np.ndarray, np.ndarray]:
     return direct, H
 
 
-def _window_ends(spec: GridSpec) -> list:
-    """Horizon index ranges ((lo, hi] node blocks) of the delay windows."""
-    m, n = spec.delay_steps, spec.n_points
-    return [(lo, min(lo + m, n)) for lo in range(0, n, m)]
-
-
-def _steps_curve(
-    problem: GronwallProblem, weights: SingularWeights, K_lemma: float
-) -> GridFunction:
-    """Exact discrete method-of-steps dominating curve.
+def _steps_curve(problem: GronwallProblem, K_lemma: float) -> np.ndarray:
+    """Exact discrete method-of-steps dominating curve, on the horizon nodes.
 
     Window by window, the delayed term is bounded using the previous window's
     curve and the non-delayed resolvent bound R f <= K_lemma * A1 f (exact on
@@ -425,13 +416,16 @@ def _steps_curve(
     and writes only its own nodes.  The curve can grow by many decades over
     the horizon, and so the FFT round-off of a later window, which scales
     with that window's values, never reaches the nodes of an earlier one.
-    A window that leaves the float range, to inf or to the nan of an FFT
-    over inf, is +inf from there on, and so is every later node.
+    The windows are the rows of ``_delay_rows``: (lo, hi] with lo stepping
+    by m.  A window that leaves the float range, to inf or to the nan of an
+    FFT over inf, is +inf from there on, and so is every later node.
     """
+    weights, m, npts = problem.weights, problem.spec.delay_steps, problem.spec.n_points
     L = problem.L.horizon_values
     theta = problem.theta.horizon_values
     cur = theta.copy()
-    for lo, hi in _window_ends(problem.spec):
+    for lo in range(0, npts, m):
+        hi = min(lo + m, npts)
         # the delayed term reads cur on nodes <= hi - m <= lo, all solved
         with np.errstate(over="ignore", invalid="ignore"):
             forcing = theta[: hi + 1] + weights.apply_delayed(L[: hi + 1], cur[: hi + 1])
@@ -440,7 +434,7 @@ def _steps_curve(
         if not np.isfinite(seg[lo + 1 :]).all():
             cur[lo + 1 :] = math.inf
             break
-    return GridFunction.from_horizon_values(problem.spec, cur)
+    return cur
 
 
 def _report(problem: GronwallProblem, K: float | None) -> BoundReport:
@@ -456,7 +450,7 @@ def _report(problem: GronwallProblem, K: float | None) -> BoundReport:
     """
     spec, weights, m = problem.spec, problem.weights, problem.spec.delay_steps
     ratio_max = _lemma_row_max(problem.L, weights)
-    curve = _steps_curve(problem, weights, float(ratio_max[-1])).horizon_values
+    curve = _steps_curve(problem, float(ratio_max[-1]))
     direct, H = _window_sum(problem)
     gain = H + direct
     excess = curve - problem.theta.horizon_values

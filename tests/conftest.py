@@ -65,6 +65,15 @@ def dense_weights(W):
     return out
 
 
+def ratio_row_max(R, A1):
+    """Running max over rows 0..i of R/A1 where A1 > 0 (0 while there is none).
+
+    The dense reference of the lemma walk's row max, from whole arrays.
+    """
+    ratio = np.divide(R, A1, out=np.zeros_like(R), where=A1 > 0.0)
+    return np.maximum.accumulate(ratio.max(axis=1))
+
+
 def with_n_points(spec, n_points):
     """Same horizon and delay at a different resolution."""
     return GridSpec(t_end=spec.t_end, n_points=n_points, h=spec.h)

@@ -26,7 +26,7 @@ from delvol import (
     mittag_leffler_half,
     picard_solve,
 )
-from delvol.cli import _SCHEMA, RunConfig, main, parse_selector, run
+from delvol.cli import _SCHEMA, RunConfig, main, parse_selector
 from conftest import delayed_linear_exact, run_in_c_locale
 
 VERIFY_ZERO_L = """
@@ -511,15 +511,16 @@ def test_help_still_exits_zero(capsys):
     assert "--config" in capsys.readouterr().out
 
 
-def test_explicit_zero_grid_is_honoured(tmp_path):
+def test_explicit_zero_grid_is_honoured(tmp_path, capsys):
     # --grid 0 is an explicit value, not an absent one
     cfg = write(tmp_path, "v.cfg", VERIFY_ACTIVE)
     proc = cli(["--config", str(cfg), "--out", str(tmp_path / "out"), "--grid", "0"])
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["error: 1: n_points must be >= 2, got 0"]
-    estimates = RunConfig.parse("command = estimates\nestimates.cases = 1\n")
-    with pytest.raises(ValueError, match="n_points must be >= 2, got 0"):
-        run(estimates, tmp_path / "est", seed=1, grid_override=0)
+    estimates = write(tmp_path, "e.cfg", "command = estimates\nestimates.cases = 1\n")
+    argv = ["--config", str(estimates), "--out", str(tmp_path / "est"), "--seed", "1"]
+    assert main(argv + ["--grid", "0"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: 1: n_points must be >= 2, got 0"]
 
 
 @pytest.mark.parametrize("cases", ["0", "-3"])
@@ -543,7 +544,9 @@ def test_verify_tolerance_rule(tmp_path, monkeypatch, output_tol, flag, expect):
         delvol.cli, "certify", lambda prob, tol=None: seen.append(tol) or real(prob, tol=tol)
     )
     text = VERIFY_SMALL + (f"output.tol = {output_tol}\n" if output_tol else "")
-    assert run(RunConfig.parse(text), tmp_path, seed=1, tol=flag) == 0
+    cfg = write(tmp_path, "v.cfg", text)
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "1"]
+    assert main(argv + (["--tol", repr(flag)] if flag is not None else [])) == 0
     assert seen == [expect] and type(seen[0]) is type(expect)
 
 
@@ -570,7 +573,9 @@ def test_grid_flag_sets_the_estimates_grid(tmp_path):
     reports = []
     for n, flag in ((128, 64), (64, None), (128, None)):
         out = tmp_path / f"out-{n}-{flag}"
-        assert run(RunConfig.parse(text.format(n=n)), out, seed=3, grid_override=flag) == 0
+        cfg = write(tmp_path, f"e-{n}-{flag}.cfg", text.format(n=n))
+        argv = ["--config", str(cfg), "--out", str(out), "--seed", "3"]
+        assert main(argv + (["--grid", str(flag)] if flag is not None else [])) == 0
         lines = (out / "estimates_report.txt").read_text().splitlines(keepends=True)
         # the header echoes the config, which names n; the records follow it
         reports.append("".join(l for l in lines if not l.startswith("#")))
@@ -617,6 +622,70 @@ def test_grid_and_seed_flags(tmp_path):
     head = (tmp_path / "out" / "bound_report.csv").read_text().splitlines()[:2]
     assert head[0] == "# seed = 7"
     assert "n_points=64" in head[1]
+
+
+SOLVE_LINEAR = """
+command = solve
+problem.nu = 0.5
+problem.h = 0.5
+problem.kernel = linear(0,1,0.5)
+problem.zeta = constant(1)
+grid.n_points = 64
+"""
+EXAMPLE_SMALL = """
+command = example414
+example.epsilons = 0.1,0.05
+example.resolutions = 64,128
+"""
+ESTIMATES_SMALL = "command = estimates\nestimates.cases = 2\ngrid.n_points = 64\n"
+
+
+def _outputs(out):
+    """{file name: bytes} of every file a command wrote."""
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize(
+    "text", [SOLVE_LINEAR, EXAMPLE_SMALL, ESTIMATES_SMALL], ids=["solve", "example414", "estimates"]
+)
+def test_second_run_writes_identical_bytes(tmp_path, text):
+    # same config + seed => byte-identical files (verify has its own test)
+    cfg = write(tmp_path, "c.cfg", text)
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        assert main(["--config", str(cfg), "--out", str(out), "--seed", "5"]) == 0
+    first, second = (_outputs(out) for out in outs)
+    assert first and first == second
+
+
+@pytest.mark.parametrize(
+    "base, flag, value, code",
+    [
+        (ESTIMATES_SMALL, "--seed", "7", 0),
+        (VERIFY_ACTIVE, "--tol", "1e-6", 0),
+        (VERIFY_ACTIVE + "bound.K = 0\n", "--tol", "1e3", 0),  # the tol decides the exit
+        ("command = estimates\nestimates.cases = 2\n", "--grid", "64", 0),
+        (VERIFY_ACTIVE.replace("grid.n_points = 128\n", ""), "--grid", "64", 0),
+    ],
+    ids=["seed", "tol", "tol-decides", "grid-estimates", "grid-verify"],
+)
+def test_each_flag_writes_the_bytes_of_its_key(tmp_path, base, flag, value, code):
+    # a flag sets its config key: the run with the flag and the run with the
+    # key differ only by the config echo of that key in each header
+    key = {"--seed": "seed", "--tol": "output.tol", "--grid": "grid.n_points"}[flag]
+    line = f"# {key} = {value}\n".encode()
+    by_flag = write(tmp_path, "flag.cfg", base)
+    by_key = write(tmp_path, "key.cfg", base + f"{key} = {value}\n")
+    flag_out, key_out = tmp_path / "flag", tmp_path / "key"
+    assert main(["--config", str(by_flag), "--out", str(flag_out), flag, value]) == code
+    assert main(["--config", str(by_key), "--out", str(key_out)]) == code
+    flagged, keyed = _outputs(flag_out), _outputs(key_out)
+    assert flagged and flagged.keys() == keyed.keys()
+    for name, data in keyed.items():
+        if line in data:  # the echo is the last header line
+            head, _, tail = data.rpartition(line)
+            data = head + tail
+        assert data == flagged[name], name
 
 
 @pytest.mark.parametrize(

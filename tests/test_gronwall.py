@@ -32,6 +32,7 @@ from conftest import (
     dense_weights,
     mittag_leffler,
     random_piecewise_linear,
+    ratio_row_max,
     weight_row,
     with_n_points,
 )
@@ -357,7 +358,7 @@ def test_theta_n_against_explicit_row_assembly(rng):
         4.0,
     )
     ratio_max = _lemma_row_max(prob.L, prob.weights)
-    curve = _steps_curve(prob, prob.weights, ratio_max[-1]).horizon_values
+    curve = _steps_curve(prob, ratio_max[-1])
     th = prob.theta.horizon_values
     gain = theta_n(prob, 1.0).horizon_values - th
     gain += singular_convolution(prob.L * prob.theta, prob.weights).horizon_values
@@ -424,13 +425,11 @@ def test_certify_slow_contraction_problems(draw):
 
 
 def test_ratio_row_max_is_running_masked_max(rng):
-    from delvol.gronwall import _ratio_row_max
-
     A1 = np.tril(rng.uniform(0.0, 1.0, (12, 12)))
     A1[rng.uniform(size=A1.shape) < 0.4] = 0.0
     A1[:2] = 0.0
     R = A1 * rng.uniform(1.0, 3.0, A1.shape)
-    got = _ratio_row_max(R, A1)
+    got = ratio_row_max(R, A1)
     for i in range(12):
         pos = A1[: i + 1] > 0.0
         expect = np.max(R[: i + 1][pos] / A1[: i + 1][pos]) if pos.any() else 0.0
@@ -442,7 +441,7 @@ def test_ratio_row_max_is_running_masked_max(rng):
 def test_lemma_row_max_matches_dense_resolvent(n, nu, rng):
     # strips and row blocks end ragged at these n; L vanishes on a stretch,
     # so whole columns of A1 are 0 and masked
-    from delvol.gronwall import _lemma_row_max, _ratio_row_max
+    from delvol.gronwall import _lemma_row_max
 
     spec = GridSpec(t_end=1.0, n_points=n)
     t = spec.times[spec.delay_steps :]
@@ -451,7 +450,7 @@ def test_lemma_row_max_matches_dense_resolvent(n, nu, rng):
     L = GridFunction.from_horizon_values(spec, vals)
     W = build_singular_weights(spec, nu)
     A1 = dense_weights(W) * vals[None, :]
-    dense = _ratio_row_max(np.linalg.solve(np.eye(n + 1) - A1, A1), A1)
+    dense = ratio_row_max(np.linalg.solve(np.eye(n + 1) - A1, A1), A1)
     got = _lemma_row_max(L, W)
     assert dense[-1] > 0.0
     assert np.all(np.abs(got - dense) <= 1e-12 * dense)
@@ -462,7 +461,7 @@ def test_blocked_lemma_and_oracle_match_dense_at_block_edges(blocks, extra, rng)
     # n = b - 1, b, b + 1 and 2b + 1 for the lemma's row-block height b, which
     # the oracle's divides; the delay windows end at node 3b/4 + 4 and its
     # multiples, inside a row block of either
-    from delvol.gronwall import _ORACLE_BLOCK, _STRIP, _lemma_row_max, _ratio_row_max
+    from delvol.gronwall import _ORACLE_BLOCK, _STRIP, _lemma_row_max
 
     assert _STRIP % _ORACLE_BLOCK == 0
     n = blocks * _STRIP + extra
@@ -474,7 +473,7 @@ def test_blocked_lemma_and_oracle_match_dense_at_block_edges(blocks, extra, rng)
             random_piecewise_linear(rng, spec), random_piecewise_linear(rng, spec, 0.1), nu, 2.0 / nu
         )
         A1, A2 = _dense_operators(prob)
-        dense = _ratio_row_max(np.linalg.solve(np.eye(n + 1) - A1, A1), A1)
+        dense = ratio_row_max(np.linalg.solve(np.eye(n + 1) - A1, A1), A1)
         got = _lemma_row_max(prob.L, prob.weights)
         assert dense[-1] > 0.0
         assert np.all(np.abs(got - dense) <= 1e-12 * dense)
@@ -536,14 +535,14 @@ def test_lemma_row_max_keeps_one_strip():
     assert peak < 4 * strip_bytes
 
 
-def _full_horizon_steps_curve(problem, weights, K_lemma, dense=None):
+def _full_horizon_steps_curve(problem, K_lemma, dense=None):
     """The method-of-steps curve recomputed on the whole horizon in every window.
 
     With the FFT convolutions the round-off of the late, large values reaches
     the early nodes.  With dense rows (``dense``, the weight matrix) each node
     sums only its own row, so the curve is the accurate reference.
     """
-    m, n = problem.spec.delay_steps, problem.spec.n_points
+    m, n, weights = problem.spec.delay_steps, problem.spec.n_points, problem.weights
     L = problem.L.horizon_values
     cur = problem.theta
     for _ in range(n // m + 1):
@@ -561,7 +560,7 @@ def _full_horizon_steps_curve(problem, weights, K_lemma, dense=None):
                 problem.spec, dense @ (L * forcing.horizon_values)
             )
         cur = forcing + K_lemma * conv
-    return cur
+    return cur.horizon_values
 
 
 def test_steps_curve_keeps_late_round_off_out_of_early_windows(monkeypatch, rng):
@@ -582,7 +581,7 @@ def test_steps_curve_keeps_late_round_off_out_of_early_windows(monkeypatch, rng)
     dense = dense_weights(prob.weights)
     monkeypatch.setattr(
         gronwall, "_steps_curve",
-        lambda p, w, K: _full_horizon_steps_curve(p, w, K, dense),
+        lambda p, K: _full_horizon_steps_curve(p, K, dense),
     )
     ref = certify(prob).report
     for g, want in zip(got.K_steps, ref.K_steps):
@@ -692,7 +691,7 @@ def test_certify_zero_L_builds_no_dense_array(monkeypatch):
     prob = unit_problem(n_points=128, L_val=0.0)
     W = prob.weights
     A1 = dense_weights(W) * prob.L.horizon_values[None, :]
-    dense = gronwall._ratio_row_max(np.linalg.solve(np.eye(A1.shape[0]) - A1, A1), A1)
+    dense = ratio_row_max(np.linalg.solve(np.eye(A1.shape[0]) - A1, A1), A1)
 
     def no_slab(self, *args):
         raise AssertionError("weights laid out for L = 0")
@@ -815,13 +814,38 @@ def test_certification_chain_white_box(rng):
         4.0,
     )
     W = build_singular_weights(spec, prob.nu)
-    curve = _steps_curve(prob, W, _lemma_row_max(prob.L, W)[-1])
-    oracle = resolvent_majorant(prob)
-    assert np.all(curve.values >= oracle.values - 1e-10 * (1.0 + oracle.values))
+    curve = _steps_curve(prob, _lemma_row_max(prob.L, W)[-1])
+    oracle = resolvent_majorant(prob).horizon_values
+    assert np.all(curve >= oracle - 1e-10 * (1.0 + oracle))
     res = certify(prob)
     assert np.all(
-        res.report.bound.values >= curve.values - 1e-10 * (1.0 + curve.values)
+        res.report.bound.horizon_values >= curve - 1e-10 * (1.0 + curve)
     )
+
+
+@pytest.mark.parametrize("n", [64, 130])
+def test_delay_at_or_past_the_horizon_is_the_undelayed_report(n):
+    # h = T, 1.5 T and 3 T (m = n, 1.5 n and 3 n): one delay window, no delay
+    # acts on [0, T], and the report is the h = T report bit for bit
+    reports = []
+    for h in (1.0, 1.5, 3.0):
+        spec = GridSpec(t_end=1.0, n_points=n, h=h)
+        t = spec.times[spec.delay_steps :]
+        L = GridFunction.from_horizon_values(spec, 1.0 + 0.5 * np.sin(3.0 * t))
+        theta = GridFunction.from_horizon_values(spec, 1.0 + t)
+        res = certify(make_problem(L, theta, 0.6, 2.0 / 0.6))
+        rep = res.report
+        assert spec.delay_steps == round(h * n)
+        assert rep.theta_n.horizon_values.tobytes() == rep.theta.horizon_values.tobytes()
+        assert len(rep.K_steps) == 1
+        assert res.passed
+        reports.append(rep)
+    ref = reports[0]
+    for rep in reports[1:]:
+        assert rep.K == ref.K
+        for name in ("theta_n", "bound", "majorant", "margin"):
+            got, want = getattr(rep, name).horizon_values, getattr(ref, name).horizon_values
+            assert got.tobytes() == want.tobytes(), name
 
 
 def test_certify_grid_stability(rng):
