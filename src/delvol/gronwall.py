@@ -10,16 +10,21 @@ for a constructively chosen K.  The check compares that curve against the sharp
 oracle: the fixed point of the equality version, whose lower-triangular
 discrete system ``resolvent_majorant`` solves exactly by the method of steps.
 
-Both triangular solves are blocked forward substitutions built from two shared
-pieces: views of one ``SingularWeights.slab`` (a row block of the weights laid
-out once, so every off-diagonal weight block is a zero-copy BLAS operand) and
-the resolvents (I - A1[I, I])^(-1) - I of all diagonal blocks at once, by
-batched recursive doubling (``_diag_resolvents``).  Every term is nonnegative.
+Every triangular solve is a blocked forward substitution built from two
+shared pieces: views of one ``SingularWeights.slab`` (a row block of the
+weights laid out once, so every off-diagonal weight block is a zero-copy BLAS
+operand) and the resolvents (I - A1[I, I])^(-1) - I of all diagonal blocks at
+once, by batched recursive doubling (``_diag_resolvents``).  The oracle's
+vector solve (``_forward_substitution``) also gives the lemma its two columns
+of the resolvent when L is constant.  Every term is nonnegative.
 
 Constant constructions kept separate from the oracle:
   * ``lemma1_constant`` dominates the non-delayed resolvent by the first kernel,
-    entrywise on the discretized operators (blocked column-strip forward
-    substitution, O(n^3/3) work, O(n b) memory).
+    entrywise on the discretized operators.  Its cost depends on L: for one
+    constant L > 0 the resolvent is Toeplitz and two of its columns, O(n^2)
+    work, give the constant (n = 8192 in about 0.02 s); any other L takes the
+    blocked column-strip forward substitution, O(n^3/3) work, O(n b) memory
+    (n = 8192 in about 3 s).
   * ``certify`` runs an exact discrete method of steps: per delay window, the
     delayed term is frozen at the previous window's dominating curve and the
     non-delayed resolvent bound is applied.  The minimal K folding the
@@ -208,10 +213,11 @@ def _checked_gain(gain: np.ndarray) -> np.ndarray:
 
 # Block heights, powers of two, measured on 2 vCPU: the lemma's BLAS-3 strip
 # updates want tall blocks (n = 2048: 0.15 s at 32, 0.10 s at 128 and 256);
-# the oracle's BLAS-2 matvecs do not, and its diagonal resolvents cost O(n b)
-# memory (n = 2^16: 0.78 s and 80 MB at 32, 0.87 s and 196 MB at 128).
-_STRIP = 128  # row-block height and column-strip width of ``_lemma_row_max``
-_ORACLE_BLOCK = 32  # row-block height of ``resolvent_majorant``
+# the BLAS-2 matvecs of the oracle (and of the constant-L lemma) do not, and
+# its diagonal resolvents cost O(n b) memory (n = 2^16: 0.78 s and 80 MB at
+# 32, 0.87 s and 196 MB at 128).
+_STRIP = 128  # row-block height and column-strip width of ``_strip_walk_row_max``
+_ORACLE_BLOCK = 32  # row-block height of ``_forward_substitution``
 
 
 def resolvent_majorant(problem: GronwallProblem) -> GridFunction:
@@ -220,24 +226,17 @@ def resolvent_majorant(problem: GronwallProblem) -> GridFunction:
     The discrete system M = theta + A1 M + A2 M is lower triangular with
     diagonal w_right[1] L_i, and on a delay window (lo, hi] the delayed term
     A2 M reads only nodes <= lo.  Each window therefore takes one delayed
-    convolution of the solved prefix and a blocked forward substitution over
-    its nodes: the rows of each row block I of ``_ORACLE_BLOCK`` nodes inside
-    the window take one matvec of a ``SingularWeights.slab`` view against the
-    solved L M (plus the rank-one w_left term of j = 0), and are then solved
-    by one product with I + R[I, I] from ``_diag_resolvents``.  A window that
-    ends inside a block uses the leading or trailing part of that block's
-    resolvent, which is the resolvent of the part.  O(n^2) work in
-    O(n / b) BLAS-2 calls, O(n b) memory.  The fixed point is the limit of
-    the monotone iteration from theta, so it dominates every grid function
-    satisfying the inequality.
+    convolution of the solved prefix, and then M = (theta + A2 M) + A1 M is
+    solved over its nodes by the blocked forward substitution of
+    ``_forward_substitution``.  O(n^2) work in O(n / b) BLAS-2 calls, O(n b)
+    memory.  The fixed point is the limit of the monotone iteration from
+    theta, so it dominates every grid function satisfying the inequality.
     """
     spec, weights = problem.spec, problem.weights
     L = problem.L.horizon_values
     theta = problem.theta.horizon_values
     npts, m = spec.n_points, spec.delay_steps
-    b = _ORACLE_BLOCK
-    slab = weights.slab(b)
-    diag = _diag_resolvents(L, weights, slab)
+    substitute = _forward_substitution(L, weights)
     x = np.zeros(npts + 1)
     x[0] = theta[0]
     Lx = np.zeros(npts + 1)  # L M on the solved nodes
@@ -246,17 +245,42 @@ def resolvent_majorant(problem: GronwallProblem) -> GridFunction:
         hi = min(lo + m, npts)
         prefix = GridFunction.from_horizon_values(spec, x)
         lag = delayed_product_convolution(problem.L, prefix, weights).horizon_values
+        x[lo + 1 : hi + 1] = theta[lo + 1 : hi + 1] + lag[lo + 1 : hi + 1]
+        substitute(x, Lx, lo, hi)
+    return GridFunction.from_horizon_values(spec, x)
+
+
+def _forward_substitution(L: np.ndarray, weights: SingularWeights):
+    """The solver of x = f + A1 x, A1 = w[i][j] L_j, node range by node range.
+
+    The returned ``substitute(x, Lx, lo, hi)`` takes x and Lx = L x solved on
+    nodes 0..lo and the forcing f in x[lo + 1 : hi + 1], and overwrites both
+    with the solution there.  Row block I of ``_ORACLE_BLOCK`` nodes (cut at
+    lo and hi) takes one matvec of a ``SingularWeights.slab`` view against
+    the solved L x (plus the rank-one w_left term of j = 0) and is then
+    solved by one product with I + R[I, I] from ``_diag_resolvents``; a range
+    that ends inside a block uses the leading or trailing part of that
+    block's resolvent, which is the resolvent of the part.  The slab and the
+    resolvents are laid out once, here, so a diagonal gain >= 1 raises
+    ``ConvergenceError`` before anything is solved.
+    """
+    npts, b = weights.spec.n_points, _ORACLE_BLOCK
+    slab = weights.slab(b)
+    diag = _diag_resolvents(L, weights, slab)
+
+    def substitute(x: np.ndarray, Lx: np.ndarray, lo: int, hi: int) -> None:
         a = lo + 1
         while a <= hi:
             r0 = a - a % b
             e = min(r0 + b, hi + 1)
-            rhs = theta[a:e] + lag[a:e] + weights.w_left[a:e] * Lx[0]
+            rhs = x[a:e] + weights.w_left[a:e] * Lx[0]
             rhs += slab[a - r0 : e - r0, npts - r0 + 1 : npts - r0 + a] @ Lx[1:a]
             R = diag[r0 // b, a - r0 : e - r0, a - r0 : e - r0]
             x[a:e] = rhs + R @ rhs
             Lx[a:e] = L[a:e] * x[a:e]
             a = e
-    return GridFunction.from_horizon_values(spec, x)
+
+    return substitute
 
 
 def _diag_resolvents(L: np.ndarray, weights: SingularWeights, slab: np.ndarray) -> np.ndarray:
@@ -303,30 +327,68 @@ def _diagonal_groups(M: np.ndarray, g: int) -> np.ndarray:
 def _lemma_row_max(L: GridFunction, weights: SingularWeights) -> np.ndarray:
     """Running row max of R/A1 for the first kernel A1 = w[i][j] L_j.
 
-    R = (I - A1)^(-1) A1 sums the iterated kernel matrices.  It is found by
-    blocked column-strip forward substitution, O(n^3/3) work, O(n b)
-    memory, with b = ``_STRIP``; R is never formed whole.  The diagonal
-    blocks R[I, I] of every row block come from ``_diag_resolvents``.  Then
-    each column strip J = [c0, c0 + b) of R, lower triangular, is walked
-    down its row blocks I = [r0, r1): one BLAS-3 update rhs = A1[I, J] +
-    w[I, c0:r0] (L R)[c0:r0, J], with w[I, c0:r0] a view of one
-    ``SingularWeights.slab``, and R[I, J] = rhs + R[I, I] rhs because
-    (I - A1[I, I])^(-1) = I + R[I, I].  L scales the solved rows of the
-    strip, not the weights.  Column 0 of A1 is w_left L_0, set apart from
-    the slab; row 0 of R is zero (so is row 0 of w), so j = 0 adds nothing
-    to a history sum.  Every term is nonnegative, so nothing cancels.  Later
-    blocks read only L R, so it is the one strip kept, (n + 1) b doubles;
-    R[I, J] and A1[I, J] live in two reused b x b buffers.  Once a block is
-    solved, R/A1 overwrites its A1 block where A1 > 0 (0 elsewhere) and the
-    block's row max is folded into the per-row max, whose one running max
-    over rows is the answer.  A diagonal gain >= 1 raises
-    ``ConvergenceError``.  All zeros when L vanishes, and then no weights
-    are laid out.
+    R = (I - A1)^(-1) A1 sums the iterated kernel matrices; the ratio is
+    taken where A1 > 0 (0 elsewhere), and the answer at node i is its max
+    over rows 0..i.  The path is chosen from L's values: all zeros when L
+    vanishes (and then no weights are laid out), two columns of R when L is
+    one constant c > 0 (``_toeplitz_row_max``, O(n^2)), and otherwise the
+    column-strip walk (``_strip_walk_row_max``, O(n^3/3)).  A diagonal
+    gain >= 1 raises ``ConvergenceError`` on either path.
     """
-    if not np.any(L.horizon_values):
+    vals = L.horizon_values
+    if not np.any(vals):
         return np.zeros(weights.spec.n_points + 1)
+    if np.all(vals == vals[0]):
+        return _toeplitz_row_max(vals, weights)
+    return _strip_walk_row_max(vals, weights)
+
+
+def _toeplitz_row_max(L: np.ndarray, weights: SingularWeights) -> np.ndarray:
+    """``_lemma_row_max`` for L equal to one c > 0 at every node, in O(n^2).
+
+    Row 0 of R is zero, so column 0 of A1 (c w_left) never meets a nonzero
+    entry of R[:, j] for j >= 1, and every other column of A1 is c times the
+    stencil ``_kernel`` shifted down: R[i, j] = R[i - j + 1, 1] for j >= 1.
+    So kappa(d) = R[d + 1, 1] / (c _kernel[d]) is the ratio at distance d,
+    and row i's max is that of rho0[i] = R[i, 0] / (c w_left[i]) and kappa(d)
+    for d < i.  Columns 0 and 1 of R solve x = A1[:, j] + A1 x, with x[0] = 0,
+    by the oracle's ``_forward_substitution``, one 1-D solve each.  Every
+    A1 entry of rows i >= 1 is positive, so nothing is masked.
+    """
+    npts = weights.spec.n_points
+    substitute = _forward_substitution(L, weights)
+    out = np.zeros(npts + 1)
+    for stencil in (weights.w_left[1 : npts + 1], weights._kernel[:npts]):
+        col = np.zeros(npts + 1)  # A1[:, j], zero in row 0
+        col[1:] = stencil * L[0]
+        x = col.copy()
+        substitute(x, np.zeros(npts + 1), 0, npts)  # R[:, j], with R[0, j] = 0
+        np.maximum(out[1:], x[1:] / col[1:], out=out[1:])  # rho0[i], kappa(i - 1)
+    return np.maximum.accumulate(out)
+
+
+def _strip_walk_row_max(L: np.ndarray, weights: SingularWeights) -> np.ndarray:
+    """``_lemma_row_max`` for any L not all zero, by the column-strip walk.
+
+    R is found by blocked column-strip forward substitution, O(n^3/3) work,
+    O(n b) memory, with b = ``_STRIP``; R is never formed whole.  The
+    diagonal blocks R[I, I] of every row block come from
+    ``_diag_resolvents``.  Then each column strip J = [c0, c0 + b) of R,
+    lower triangular, is walked down its row blocks I = [r0, r1): one BLAS-3
+    update rhs = A1[I, J] + w[I, c0:r0] (L R)[c0:r0, J], with w[I, c0:r0] a
+    view of one ``SingularWeights.slab``, and R[I, J] = rhs + R[I, I] rhs
+    because (I - A1[I, I])^(-1) = I + R[I, I].  L scales the solved rows of
+    the strip, not the weights.  Column 0 of A1 is w_left L_0, set apart
+    from the slab; row 0 of R is zero (so is row 0 of w), so j = 0 adds
+    nothing to a history sum.  Every term is nonnegative, so nothing
+    cancels.  Later blocks read only L R, so it is the one strip kept,
+    (n + 1) b doubles; R[I, J] and A1[I, J] live in two reused b x b
+    buffers.  Once a block is solved, R/A1 overwrites its A1 block where
+    A1 > 0 (0 elsewhere) and the block's row max is folded into the per-row
+    max, whose one running max over rows is the answer.
+    """
     # + 0.0 turns a -0.0 node into +0.0, so a ratio left 0 where A1 = 0 is +0
-    L = L.horizon_values + 0.0
+    L = L + 0.0
     npts, b = weights.spec.n_points, _STRIP
     slab = weights.slab(b)
     diag = _diag_resolvents(L, weights, slab)
@@ -357,10 +419,11 @@ def lemma1_constant(L: GridFunction, nu: float) -> float:
 
     Both sides are the product-integration discretizations, so the ratio is
     stable under grid refinement.  The iterated-kernel series is summed in
-    closed form by blocked column-strip forward substitution
-    (``_lemma_row_max``), O(n^3/3) work, O(n b) memory; a diagonal gain >= 1
-    (the only way the series can diverge on the grid) raises
-    ``ConvergenceError``.
+    closed form (``_lemma_row_max``): from two columns of the resolvent by
+    the oracle's forward substitution, O(n^2) work, when L is one constant
+    c > 0, and otherwise by blocked column-strip forward substitution,
+    O(n^3/3) work, O(n b) memory.  A diagonal gain >= 1 (the only way the
+    series can diverge on the grid) raises ``ConvergenceError``.
     """
     _check_node_values("L", L)
     return float(_lemma_row_max(L, build_singular_weights(L.spec, nu))[-1])

@@ -224,11 +224,20 @@ def choose_epsilon(p: float, nu: float, L: GridFunction) -> tuple[float, float, 
     Returns (epsilon, q, case_id).  |L|, its max and the trapezoid weights
     are found once per scan, not once per candidate.
     """
+    eps, q, case, _ = _scan_epsilon(p, nu, L)
+    return eps, q, case
+
+
+def _scan_epsilon(p: float, nu: float, L: GridFunction):
+    """``choose_epsilon``'s (epsilon, q, case) and the window of that epsilon.
+
+    Case 3 scans nothing, and its window is None.
+    """
     if not 1.0 <= p < math.inf:  # False for nan
         raise HypothesisError(f"p must be finite and >= 1, got {p}")
     if abs(p - 1.0) < 1e-12:
         q, _ = _norm_exponent(1.0, 0.0)
-        return 0.0, q, 3
+        return 0.0, q, 3, None
     if p > 1.0 / (1.0 - nu):
         hi, case = nu / (1.0 - nu), 1
     else:
@@ -248,7 +257,7 @@ def choose_epsilon(p: float, nu: float, L: GridFunction) -> tuple[float, float, 
             f"no admissible epsilon found in case {case} for p={p}, nu={nu}"
         )
     q, _ = _norm_exponent(p, best[0])
-    return best[0], q, case
+    return best[0], q, case, best[1]
 
 
 # -- core block assembly -----------------------------------------------------
@@ -513,10 +522,11 @@ def picard_solve(prob: VolterraProblem, config: SolverConfig | None = None) -> G
     delta = cfg.delta
     # a forced delta waives the certificate, so its hypotheses go unchecked
     if delta is None or not cfg.force_delta:
-        eps = cfg.epsilon
+        eps, certified = cfg.epsilon, None
         if eps is None:
-            eps, _, _ = choose_epsilon(prob.p, prob.nu, prob.kernel.L)
-        certified = contraction_window(prob.kernel.L, prob.nu, prob.p, eps)
+            eps, _, _, certified = _scan_epsilon(prob.p, prob.nu, prob.kernel.L)
+        if certified is None:
+            certified = contraction_window(prob.kernel.L, prob.nu, prob.p, eps)
         if delta is None:
             delta = certified
         elif delta > certified * (1.0 + 1e-9):

@@ -26,6 +26,7 @@ from delvol import (
     step_constant_k1,
     theta_n,
 )
+from delvol.gronwall import _ORACLE_BLOCK, _STRIP, _lemma_row_max, _strip_walk_row_max
 from conftest import (
     SEED,
     delayed_linear_exact,
@@ -285,6 +286,101 @@ def test_lemma1_constant_mittag_leffler_limit(nu):
     orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
     assert min(orders) >= 0.8
     assert errors[-1] <= 0.02
+
+
+@pytest.mark.parametrize("nu, err_8192", [(0.4, 1.2e-3), (0.6, 3.5e-4), (0.8, 2.1e-4)])
+def test_lemma1_constant_mittag_leffler_limit_at_scale(nu, err_8192):
+    # the same limit on the constant-L path, which reaches n = 8192 in tens of
+    # milliseconds; first order per doubling, errors at 8192 measured as
+    # 9.7e-4, 2.8e-4 and 1.7e-4
+    exact = math.gamma(nu) * mittag_leffler(nu, nu, math.gamma(nu))
+    errors = []
+    for n in (512, 2048, 8192):
+        spec = GridSpec(t_end=1.0, n_points=n)
+        K = lemma1_constant(GridFunction.constant(spec, 1.0), nu)
+        errors.append(abs(K - exact) / exact)
+    orders = [math.log(a / b, 4) for a, b in zip(errors, errors[1:])]
+    assert min(orders) >= 0.95
+    assert errors[-1] <= err_8192
+
+
+# b - 1, b, b + 1 and 2b + 1 for the row-block height b of either lemma path
+_BLOCK_EDGES = sorted(
+    {k * b + e for b in (_ORACLE_BLOCK, _STRIP) for k, e in ((1, -1), (1, 0), (1, 1), (2, 1))}
+)
+
+
+@pytest.mark.parametrize("nu", [0.3, 0.4, 0.6, 0.8, 0.9])
+@pytest.mark.parametrize("n", _BLOCK_EDGES + [600, 2048])
+def test_constant_L_row_max_matches_the_strip_walk(n, nu):
+    # R[i, j] = R[i - j + 1, 1] for j >= 1 when L is constant, so two columns
+    # of R give every row max; the row blocks of either path end ragged here
+    spec = GridSpec(t_end=1.0, n_points=n)
+    W = build_singular_weights(spec, nu)
+    for c in (0.3, 1.0):
+        L = GridFunction.constant(spec, c)
+        got = _lemma_row_max(L, W)
+        walk = _strip_walk_row_max(L.horizon_values, W)
+        assert got[0] == walk[0] == 0.0 and walk[-1] > 0.0
+        assert np.all(np.abs(got - walk) <= 1e-13 * walk)
+        if n <= 600:
+            A1 = c * dense_weights(W)
+            dense = ratio_row_max(np.linalg.solve(np.eye(n + 1) - A1, A1), A1)
+            assert np.all(np.abs(got - dense) <= 1e-12 * dense)
+
+
+def _not_this_path(*args):
+    raise AssertionError("lemma path taken for the wrong kind of L")
+
+
+@pytest.mark.parametrize("node", [0, 77, 200])
+def test_L_constant_but_at_one_node_takes_the_walk(monkeypatch, node):
+    from delvol import gronwall
+
+    spec = GridSpec(t_end=1.0, n_points=200, h=0.25)
+    vals = np.full(spec.n_points + 1, 0.7)
+    vals[node] = 0.9
+    L = GridFunction.from_horizon_values(spec, vals)
+    W = build_singular_weights(spec, 0.6)
+    monkeypatch.setattr(gronwall, "_toeplitz_row_max", _not_this_path)
+    assert np.array_equal(_lemma_row_max(L, W), _strip_walk_row_max(vals, W))
+    assert certify(make_problem(L, GridFunction.constant(spec, 1.0), 0.6, 4.0)).passed
+
+
+def test_constant_L_never_enters_the_strip_walk(monkeypatch):
+    from delvol import gronwall
+
+    monkeypatch.setattr(gronwall, "_strip_walk_row_max", _not_this_path)
+    prob = unit_problem(n_points=512, h=0.25, nu=0.6, L_val=1.0)
+    res = certify(prob)
+    assert res.passed and res.report.K > 0.0
+    assert gronwall_bound(prob, res.report.K).K == res.report.K
+    assert lemma1_constant(prob.L, prob.nu) > 0.0
+
+
+def test_diverging_constant_L_raises_on_the_constant_path(monkeypatch):
+    from delvol import gronwall
+
+    monkeypatch.setattr(gronwall, "_strip_walk_row_max", _not_this_path)
+    spec = GridSpec(t_end=1.0, n_points=4, h=0.5)
+    with pytest.raises(ConvergenceError, match="diagonal gain >= 1") as err:
+        lemma1_constant(GridFunction.constant(spec, 6.0), 0.5)
+    assert err.value.history
+
+
+@pytest.mark.parametrize("nu", [0.4, 0.6, 0.8])
+def test_constant_L_bracket_bounds_the_walk(nu, rng):
+    # R / A1 = (N W) / W with N = (I - W diag L)^(-1), which rises with L
+    # entrywise, so the constant path at max L bounds the walk node-wise
+    spec = GridSpec(t_end=1.0, n_points=300, h=0.25)
+    W = build_singular_weights(spec, nu)
+    for _ in range(3):
+        L = random_piecewise_linear(rng, spec)
+        walk = _strip_walk_row_max(L.horizon_values, W)
+        top = GridFunction.constant(spec, float(np.max(L.horizon_values)))
+        bracket = _lemma_row_max(top, W)
+        assert walk[-1] > 0.0
+        assert np.all(walk <= bracket * (1.0 + 1e-12))
 
 
 def test_theta_n_prefix_bitwise(rng):

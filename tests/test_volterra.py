@@ -1304,7 +1304,8 @@ def test_window_sweep_keeps_solutions_of_per_sweep_block_sums(monkeypatch, build
 
 
 def test_auto_config_scans_epsilon_on_one_magnitude_of_L(monkeypatch):
-    # the 20 candidates share |L|; the solve trusts the window its own config chose
+    # the 20 candidates share |L|, and the solve takes the chosen epsilon's
+    # window from the scan, bitwise the one contraction_window gives
     prob = abel_problem(n_points=128)
     L = prob.kernel.L
     seen = []
@@ -1312,9 +1313,10 @@ def test_auto_config_scans_epsilon_on_one_magnitude_of_L(monkeypatch):
     monkeypatch.setattr(
         GridFunction, "magnitude", lambda self: seen.append(self is L) or real(self)
     )
-    picard_solve(prob)
-    assert sum(seen) == 2  # the scan and the chosen epsilon's window
+    xi = picard_solve(prob)
+    assert sum(seen) == 1
     monkeypatch.undo()
+    assert np.array_equal(xi.values, picard_solve(prob, scanned_config(prob)).values)
     eps, _, _ = choose_epsilon(prob.p, prob.nu, L)
     delta = contraction_window(L, prob.nu, prob.p, eps)
     eps_hi = prob.nu / (1.0 - prob.nu)  # case 1 at p = 4, nu = 1/2
